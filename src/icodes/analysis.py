@@ -3,10 +3,11 @@
 Provides the predicted Lee weight distributions for the five defining-set
 variants, a brute-force-vs-prediction comparator, and the individual
 certificates: exhaustive minimality, the minimum/maximum weight-ratio
-sufficient condition for minimality, direct self-orthogonality, the
-divisible-by-4 sufficient condition, Griesmer sums with an optimality
-verdict, the closed-form optimality predictor for T2 parameters, and the
-replicated-simplex structure check for 1-weight codes.
+sufficient condition for minimality, exact self-orthogonality on a
+spanning basis, the divisible-by-4 sufficient condition, Griesmer sums
+with an optimality verdict, the closed-form optimality predictor for T2
+parameters, and the replicated-simplex structure check for 1-weight
+codes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .construction import (
     Alphabet,
@@ -31,7 +32,7 @@ from .construction import (
     weight_enumerator,
 )
 from .errors import BudgetExceededError, EmptyDefiningSetError
-from .geometry import gf2_basis
+from .geometry import bit_string, gf2_basis
 
 #: Everything cmd_analyze knows how to run.
 ALL_ANALYSES = (
@@ -46,10 +47,6 @@ ALL_ANALYSES = (
 
 #: Largest codeword count accepted by the exhaustive pairwise scans.
 PAIRWISE_SCAN_LIMIT = 1 << 16
-
-#: Above this size, self-orthogonality switches to a spanning basis
-#: (exact by bilinearity, not an approximation).
-DIRECT_ORTHOGONALITY_LIMIT = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -254,27 +251,23 @@ def _profile_diffs(
 class OrthogonalityFinding:
     self_orthogonal: bool
     witness: tuple[int, int] | None
-    method: str  # "direct-pairs" or "spanning-basis"
+    method: str  # always "spanning-basis"
 
 
 def is_self_orthogonal(table: CodeTable) -> OrthogonalityFinding:
     """Check that every pair of codewords has even overlap.
 
-    Small codes are scanned pair by pair (including each word against
-    itself); larger ones check a spanning basis, which is equivalent by
-    bilinearity of the inner product.
+    Checks every pair of a spanning basis, each basis word against itself
+    included; by bilinearity of the inner product that decides all pairs
+    of codewords exactly.
     """
     _require_binary(table)
-    words: Sequence[int] = table.codewords
-    method = "direct-pairs"
-    if len(words) > DIRECT_ORTHOGONALITY_LIMIT:
-        words = gf2_basis(words)
-        method = "spanning-basis"
-    for i, u in enumerate(words):
-        for v in words[i:]:
+    basis = gf2_basis(table.codewords)
+    for i, u in enumerate(basis):
+        for v in basis[i:]:
             if (u & v).bit_count() & 1:
-                return OrthogonalityFinding(False, (u, v), method)
-    return OrthogonalityFinding(True, None, method)
+                return OrthogonalityFinding(False, (u, v), "spanning-basis")
+    return OrthogonalityFinding(True, None, "spanning-basis")
 
 
 def weights_divisible_by_4(table: CodeTable) -> bool:
@@ -555,10 +548,6 @@ def _listify(pair: tuple[str, str] | None) -> list[str] | None:
     return None if pair is None else list(pair)
 
 
-def _bitstring(word: int, length: int) -> str:
-    return "".join("1" if word >> i & 1 else "0" for i in range(length))
-
-
 def _normalize_analyses(analyses: Iterable[str] | None) -> tuple[str, ...]:
     if analyses is None:
         return ALL_ANALYSES
@@ -660,7 +649,7 @@ def analyze(
         fields["weights_div4"] = div4
         if orth.witness is not None:
             fields["self_orthogonal_witness"] = tuple(
-                _bitstring(w, image.length) for w in orth.witness
+                bit_string(w, image.length) for w in orth.witness
             )
         if div4 and not orth.self_orthogonal:
             raise AssertionError(
@@ -676,7 +665,7 @@ def analyze(
             fields["minimal"] = "yes-exhaustive" if finding.minimal else "no"
             if finding.witness is not None:
                 fields["minimal_witness"] = tuple(
-                    _bitstring(w, image.length) for w in finding.witness
+                    bit_string(w, image.length) for w in finding.witness
                 )
             if ab.holds and not finding.minimal:
                 raise AssertionError(

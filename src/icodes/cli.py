@@ -25,6 +25,7 @@ from .analysis import (
     ALL_ANALYSES,
     AnalysisReport,
     PredictionMatch,
+    _str_keys,
     analyze,
     verify_against_prediction,
 )
@@ -39,6 +40,7 @@ from .construction import (
     weight_enumerator,
 )
 from .errors import BudgetExceededError, EmptyDefiningSetError
+from .geometry import bit_string
 from .ring import ELEMENTS, addition_table, multiplication_table
 
 SCHEMA_VERSION = 1
@@ -114,16 +116,18 @@ class ExperimentConfig:
                 doc = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {path}: {exc}") from None
-        if not isinstance(doc, dict) or "jobs" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("jobs"), list):
             raise UsageError("config must be a JSON object with a 'jobs' list")
         output_format = doc.get("format", "text")
         if output_format not in ("text", "structured"):
             raise UsageError("config format must be 'text' or 'structured'")
         budget = doc.get("work_budget")
-        if budget is not None and (not isinstance(budget, int) or budget <= 0):
-            raise UsageError("work_budget must be a positive integer")
+        if budget is not None:
+            budget = _positive_budget(budget, "work_budget")
         jobs, analyses = [], []
         for i, job in enumerate(doc["jobs"]):
+            if not isinstance(job, dict):
+                raise UsageError(f"config job {i} must be a JSON object")
             try:
                 m = int(job["m"])
                 variant = Variant(job["variant"])
@@ -137,9 +141,9 @@ class ExperimentConfig:
                 spec = DefiningSetSpec(
                     variant=variant, m=m, M=subsets["M"], N=subsets["N"]
                 )
-            except (KeyError, ValueError, IndexError) as exc:
+                requested = tuple(job.get("analyses", ALL_ANALYSES))
+            except (KeyError, ValueError, IndexError, TypeError) as exc:
                 raise UsageError(f"config job {i}: {exc}") from None
-            requested = tuple(job.get("analyses", ALL_ANALYSES))
             jobs.append(spec)
             analyses.append(requested)
         if not jobs:
@@ -207,15 +211,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive_budget(value, source: str) -> int:
+    """A work budget from outside the program: a positive integer, or a usage error."""
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise UsageError(f"{source} must be a positive integer, got {value!r}")
+    return value
+
+
 def _effective_budget(flag_value: int | None) -> int | None:
     if flag_value is not None:
-        return flag_value
+        return _positive_budget(flag_value, "--budget")
     env = os.environ.get(ENV_BUDGET)
     if env:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise UsageError(f"{ENV_BUDGET} must be an integer, got {env!r}") from None
+        return _positive_budget(value, ENV_BUDGET)
     return None
 
 
@@ -273,14 +285,8 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
             "length": len(ds),
             "code_size": len(table.codewords),
             "kernel_size": table.kernel_size,
-            "lee_weight_distribution": {
-                str(w): table.weight_distribution[w]
-                for w in sorted(table.weight_distribution)
-            },
-            "message_profile": {
-                str(w): table.message_profile[w]
-                for w in sorted(table.message_profile)
-            },
+            "lee_weight_distribution": _str_keys(table.weight_distribution),
+            "message_profile": _str_keys(table.message_profile),
             "lee_enumerator": weight_enumerator(table),
             "gray_params": params.as_list(),
             "degenerate": params.degenerate,
@@ -289,7 +295,7 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
             doc["ring_codewords"] = [str(cw) for cw in table.codewords]
         if args.dump_gray_codewords:
             doc["gray_codewords"] = [
-                _bits_to_string(w, image.length) for w in image.codewords
+                bit_string(w, image.length) for w in image.codewords
             ]
         _emit(doc, out)
     else:
@@ -311,12 +317,8 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
         if args.dump_gray_codewords:
             print("gray codewords:", file=out)
             for w in image.codewords:
-                print(_bits_to_string(w, image.length), file=out)
+                print(bit_string(w, image.length), file=out)
     return EXIT_OK
-
-
-def _bits_to_string(word: int, length: int) -> str:
-    return "".join("1" if word >> i & 1 else "0" for i in range(length))
 
 
 def _report_text(report: AnalysisReport, out) -> None:

@@ -6,8 +6,9 @@ variants draw D1 and D2 from a simplicial complex, its complement, or
 (for T5) take the set complement of the T1 set inside I^m.  The code is
 the image of the evaluation map v -> (v . d)_{d in D} over all messages
 v in I^m; because b kills every product, a codeword depends only on the
-a-part of the message, which this module exploits after checking that
-raw ring arithmetic and the reduced form agree.
+a-part of the message: the code is b times the row space of one m x n
+binary generator matrix (:attr:`DefiningSet.rows`), which this module
+exploits after checking that raw ring arithmetic and the rows agree.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, DimensionMismatchError, EmptyDefiningSetError
@@ -25,7 +27,7 @@ from .geometry import (
     complex_from_generator,
     gf2_basis,
 )
-from .ring import B, ZERO, RingElement
+from .ring import ELEMENTS, ZERO, RingElement
 
 #: Default cap on elementary parity operations for one code enumeration.
 DEFAULT_WORK_BUDGET = 1 << 32
@@ -82,7 +84,7 @@ class RingVector:
         """Coordinate i (1-based)."""
         if not 1 <= i <= self.m:
             raise IndexError(f"coordinate {i} outside [{self.m}]")
-        return RingElement(self.s_word >> (i - 1) & 1, self.t_word >> (i - 1) & 1)
+        return ELEMENTS[(self.s_word >> (i - 1) & 1) | (self.t_word >> (i - 1) & 1) << 1]
 
     def elements(self) -> tuple[RingElement, ...]:
         return tuple(self.element(i) for i in range(1, self.m + 1))
@@ -164,6 +166,20 @@ class DefiningSet:
     m: int
     pairs: tuple[tuple[BitVector, BitVector], ...]
 
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """The m rows of the binary generator matrix G, as n-bit words.
+
+        Bit j of row i is coordinate i+1 of t1 in pair j.  Since ab = b^2
+        = 0, the codeword of a message with a-part alpha is b times the
+        XOR of the rows that alpha selects.
+        """
+        t1_bits = [t1.bits for t1, _t2 in reversed(self.pairs)]
+        return tuple(
+            int("".join("1" if bits >> i & 1 else "0" for bits in t1_bits) or "0", 2)
+            for i in range(self.m)
+        )
+
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -174,9 +190,6 @@ class DefiningSet:
         """The i-th (0-based) defining element as a vector over I."""
         t1, t2 = self.pairs[i]
         return RingVector(self.m, t1.bits, t2.bits)
-
-    def elements(self) -> tuple[RingVector, ...]:
-        return tuple(self.element(i) for i in range(len(self.pairs)))
 
 
 def _member_bits(m: int, indices: frozenset[int]) -> list[int]:
@@ -284,22 +297,22 @@ def encode(v: RingVector, ds: DefiningSet) -> RingVector:
     """Evaluate the codeword (v . d)_{d in D}.
 
     Computes every coordinate twice: once with plain ring arithmetic and
-    once with the reduced form b*(alpha . t1); the two must agree.
+    once in the reduced form b*(alpha . t1), the XOR of the generator rows
+    selected by the a-part alpha; the two must agree.
     """
     if v.m != ds.m:
         raise DimensionMismatchError(f"message length {v.m} != ambient {ds.m}")
     n = len(ds)
-    raw = [v.dot(ds.element(i)) for i in range(n)]
+    raw = RingVector.from_elements([v.dot(ds.element(i)) for i in range(n)])
     word = 0
-    for i, (t1, _t2) in enumerate(ds.pairs):
-        if (v.s_word & t1.bits).bit_count() & 1:
-            word |= 1 << i
-    reduced = [B if word >> i & 1 else ZERO for i in range(n)]
-    if raw != reduced:
+    for i, row in enumerate(ds.rows):
+        if v.s_word >> i & 1:
+            word ^= row
+    if raw != RingVector(n, 0, word):
         raise AssertionError(
             "ring-arithmetic evaluation disagrees with the reduced form b*(alpha.t1)"
         )
-    return RingVector(n, 0, word)
+    return raw
 
 
 @dataclass(frozen=True)
@@ -370,11 +383,12 @@ def enumerate_code(
 ) -> CodeTable:
     """Enumerate the code of a defining set with its Lee weight data.
 
-    The default path walks the 2^m a-parts only, crediting each with the
-    2^m free b-parts, after spot-checking (via :func:`encode`) that raw
-    ring evaluation matches the reduced form on sampled messages; m <= 2
-    is spot-checked exhaustively.  collapse_beta=False forces the plain
-    4^m message walk with full ring arithmetic everywhere.
+    The default path walks the 2^m a-parts only, as the XOR span of the
+    generator rows, crediting each with the 2^m free b-parts, after
+    spot-checking (via :func:`encode`) that raw ring evaluation matches
+    the span on sampled messages; m <= 2 is spot-checked exhaustively.
+    collapse_beta=False forces the plain 4^m message walk with full ring
+    arithmetic everywhere.
     """
     m, n = ds.m, len(ds)
     budget = DEFAULT_WORK_BUDGET if work_budget is None else work_budget
@@ -387,42 +401,33 @@ def enumerate_code(
     profile: Counter[int] = Counter()
 
     if not collapse_beta:
+        beta_mult = 1
         for s_word in range(1 << m):
             for t_word in range(1 << m):
                 cw = encode(RingVector(m, s_word, t_word), ds)
                 codeword_hits[cw.t_word] += 1
                 profile[cw.lee_weight()] += 1
-        per_codeword = set(codeword_hits.values())
-        assert len(per_codeword) == 1, "codeword preimage counts must be uniform"
-        kernel_size = per_codeword.pop()
     else:
         if agreement_samples is None:
             agreement_samples = 16 if m <= 2 else 8
-        groups: dict[int, int] = {}
-        for i, (t1, _t2) in enumerate(ds.pairs):
-            groups[t1.bits] = groups.get(t1.bits, 0) | 1 << i
-        group_items = list(groups.items())
+        # The XOR span of the generator rows, so that words[alpha] is the
+        # codeword of every message with a-part alpha.
+        words = [0]
+        for row in ds.rows:
+            words += [w ^ row for w in words]
 
         if agreement_samples > 0:
             for v in _sample_messages(m, agreement_samples, seed=m * 0x9E3779B1 ^ n):
                 cw = encode(v, ds)  # raises if raw and reduced forms disagree
-                word = 0
-                for t1_bits, mask in group_items:
-                    if (v.s_word & t1_bits).bit_count() & 1:
-                        word |= mask
-                assert word == cw.t_word, "grouped fast path disagrees with encode"
+                assert words[v.s_word] == cw.t_word, "row span disagrees with encode"
 
         beta_mult = 1 << m
-        for alpha in range(1 << m):
-            word = 0
-            for t1_bits, mask in group_items:
-                if (alpha & t1_bits).bit_count() & 1:
-                    word |= mask
-            codeword_hits[word] += 1
-            profile[2 * word.bit_count()] += beta_mult
-        per_codeword = set(codeword_hits.values())
-        assert len(per_codeword) == 1, "codeword preimage counts must be uniform"
-        kernel_size = per_codeword.pop() * beta_mult
+        codeword_hits.update(words)
+        for word, hits in codeword_hits.items():
+            profile[2 * word.bit_count()] += hits * beta_mult
+    per_codeword = set(codeword_hits.values())
+    assert len(per_codeword) == 1, "codeword preimage counts must be uniform"
+    kernel_size = per_codeword.pop() * beta_mult
 
     assert sum(profile.values()) == messages
     codewords = tuple(RingVector(n, 0, word) for word in sorted(codeword_hits))

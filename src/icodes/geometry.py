@@ -56,11 +56,7 @@ class BitVector:
     def from_string(cls, text: str) -> BitVector:
         if not text or set(text) - {"0", "1"}:
             raise ValueError(f"expected a nonempty 0/1 string, got {text!r}")
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(len(text), bits)
+        return cls(len(text), int(text[::-1], 2))
 
     def support(self) -> tuple[int, ...]:
         """Sorted 1-based coordinates where the vector is 1."""
@@ -84,13 +80,18 @@ class BitVector:
         return BitVector(self.m, self.bits ^ other.bits)
 
     def __str__(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.m))
+        return bit_string(self.bits, self.m)
 
     def _check_dimension(self, other: BitVector) -> None:
         if self.m != other.m:
             raise DimensionMismatchError(
                 f"dimension mismatch: {self.m} vs {other.m}"
             )
+
+
+def bit_string(word: int, length: int) -> str:
+    """The 0/1 text of a length-bit word, coordinate 1 (bit 0) leftmost."""
+    return format(word, f"0{length}b")[::-1]
 
 
 def all_vectors(m: int) -> Iterator[BitVector]:

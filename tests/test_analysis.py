@@ -1,5 +1,6 @@
 """Predicted distributions, verification sweeps, and the certificates."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -151,20 +152,36 @@ def test_self_orthogonal_reference_example():
 
 
 def test_self_orthogonal_basis_path_matches_direct():
-    # force the basis path with a large code and compare with direct pairs
-    table = enumerate_code(build_defining_set(spec(Variant.T2, 4, {1}, {2, 3})))
-    image = gray_image(table)
-    direct = is_self_orthogonal(image)
-    import icodes.analysis as analysis_module
+    def all_pairs_even(table):
+        # oracle: every pair of codewords, each word with itself included
+        words = table.codewords
+        return all(not (u & v).bit_count() & 1 for u in words for v in words)
 
-    old = analysis_module.DIRECT_ORTHOGONALITY_LIMIT
-    analysis_module.DIRECT_ORTHOGONALITY_LIMIT = 1
-    try:
-        via_basis = is_self_orthogonal(image)
-    finally:
-        analysis_module.DIRECT_ORTHOGONALITY_LIMIT = old
-    assert direct.self_orthogonal == via_basis.self_orthogonal
-    assert via_basis.method == "spanning-basis"
+    tables = [
+        gray_image(enumerate_code(build_defining_set(spec(variant, m, M, N))))
+        for variant, m, M, N in [
+            (Variant.T1, 2, {1}, {2}),
+            (Variant.T2, 3, {1}, {2}),
+            (Variant.T2, 4, {1}, {2, 3}),
+            (Variant.T5, 3, {1, 2}, {3}),
+        ]
+    ]
+    rng = random.Random(11)
+    for n in (3, 5, 8, 70):
+        for _ in range(20):
+            tables.append(span([rng.randrange(1 << n) for _ in range(rng.randint(1, 4))], n))
+    tables.append(span([0b011, 0b110], 3))  # every word even, 011.110 odd
+    verdicts = set()
+    for table in tables:
+        finding = is_self_orthogonal(table)
+        assert finding.method == "spanning-basis"
+        assert finding.self_orthogonal == all_pairs_even(table)
+        verdicts.add(finding.self_orthogonal)
+        if finding.witness is not None:
+            u, v = finding.witness
+            assert u in table.codewords and v in table.codewords
+            assert (u & v).bit_count() & 1
+    assert verdicts == {True, False}
 
 
 def test_weights_divisible_by_4_examples():

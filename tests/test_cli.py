@@ -185,6 +185,39 @@ def test_analyze_config_validation(tmp_path: Path):
     assert code == 2
 
 
+def assert_one_line_usage_error(argv, capsys):
+    code, out = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_analyze_config_job_not_an_object(tmp_path: Path, capsys):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps({"jobs": [1]}), encoding="utf-8")
+    assert_one_line_usage_error(["analyze", "--config", str(path)], capsys)
+
+
+def test_analyze_config_boolean_work_budget(tmp_path: Path, capsys):
+    path = tmp_path / "jobs.json"
+    config = {"work_budget": True, "jobs": [{"variant": "T1", "m": 2, "M": [1], "N": [2]}]}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert_one_line_usage_error(["analyze", "--config", str(path)], capsys)
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_non_positive_budget_flag(budget, capsys):
+    argv = ["construct", "--variant", "T1", "--m", "2", "--M", "1", "--N", "2"]
+    assert_one_line_usage_error(argv + ["--budget", budget], capsys)
+
+
+def test_negative_env_budget(monkeypatch, capsys):
+    monkeypatch.setenv("ICODES_WORK_BUDGET", "-5")
+    argv = ["construct", "--variant", "T1", "--m", "2", "--M", "1", "--N", "2"]
+    assert_one_line_usage_error(argv, capsys)
+
+
 # --- verify -----------------------------------------------------------------------
 
 

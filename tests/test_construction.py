@@ -17,6 +17,7 @@ from icodes import (
     CodeTable,
     DefiningSetSpec,
     DimensionMismatchError,
+    ELEMENTS,
     EmptyDefiningSetError,
     RingVector,
     Variant,
@@ -171,6 +172,8 @@ def test_ring_vector_round_trip_and_weight():
     assert str(v) == "0abc"
     assert v.lee_weight() == 0 + 1 + 2 + 1
     assert v.element(2).symbol == "a"
+    for i in range(1, 5):
+        assert v.element(i) is ELEMENTS[i - 1]
     assert RingVector.from_elements(v.elements()) == v
 
 
@@ -246,13 +249,45 @@ def test_enumeration_matches_symbol_table_oracle_m2(variant):
 
 
 def test_collapsed_and_plain_walks_agree():
-    ds = build_defining_set(spec(Variant.T4, 2, {1}, {2}))
-    fast = enumerate_code(ds)
-    slow = enumerate_code(ds, collapse_beta=False)
-    assert fast.weight_distribution == slow.weight_distribution
-    assert fast.message_profile == slow.message_profile
-    assert fast.kernel_size == slow.kernel_size
-    assert fast.codewords == slow.codewords
+    rng = random.Random(3)
+    specs = [spec(Variant.T4, 2, {1}, {2})]
+    for variant in (Variant.T1, Variant.T2, Variant.T3, Variant.T4, Variant.T5):
+        for m in (1, 2, 3):
+            # every (M, N) pair up to m = 2, a fixed sample of them at m = 3
+            masks = [(mm, nn) for mm in range(1 << m) for nn in range(1 << m)]
+            if m == 3:
+                masks = rng.sample(masks, 6)
+            for mm, nn in masks:
+                M = frozenset(i + 1 for i in range(m) if mm >> i & 1)
+                N = frozenset(i + 1 for i in range(m) if nn >> i & 1)
+                specs.append(spec(variant, m, M, N))
+    d1 = tuple(BitVector.from_string(t) for t in ("110", "101", "110", "000", "011"))
+    d2 = tuple(BitVector.from_string(t) for t in ("001", "001", "111"))
+    specs.append(DefiningSetSpec(variant=Variant.GENERIC, m=3, d1=d1, d2=d2))
+    for s in specs:
+        try:
+            ds = build_defining_set(s)
+        except EmptyDefiningSetError:
+            continue
+        fast = enumerate_code(ds)
+        slow = enumerate_code(ds, collapse_beta=False)
+        assert fast.weight_distribution == slow.weight_distribution, s
+        assert fast.message_profile == slow.message_profile, s
+        assert fast.kernel_size == slow.kernel_size, s
+        assert fast.codewords == slow.codewords, s
+
+
+def test_tampered_generator_rows_fail_the_ring_check():
+    ds = build_defining_set(spec(Variant.T2, 3, {1}, {2}))
+    v = RingVector(3, 0b010, 0)
+    assert encode(v, ds).t_word == ds.rows[1]
+    rows = list(ds.rows)
+    rows[1] ^= 1 << 3
+    object.__setattr__(ds, "rows", tuple(rows))
+    with pytest.raises(AssertionError, match="ring-arithmetic"):
+        encode(v, ds)
+    with pytest.raises(AssertionError):
+        enumerate_code(ds, agreement_samples=64)
 
 
 def test_reference_distributions():

@@ -20,6 +20,7 @@ from icodes import (
     gf2_basis,
     support_disjoint,
 )
+from icodes.geometry import bit_string
 
 
 def bv(text: str) -> BitVector:
@@ -49,6 +50,17 @@ def test_string_round_trip_and_coordinate_convention():
     assert str(v) == "0110"
     assert v.bits == 0b0110
     assert BitVector.from_support(4, [2, 3]) == v
+
+
+def test_bit_string_round_trip_with_leading_and_trailing_zeros():
+    for text in ("0", "1", "0" + "1" * 22 + "0", "1" + "0" * 22 + "1"):
+        v = BitVector.from_string(text)
+        assert bit_string(v.bits, v.m) == str(v) == text
+    # codewords run past the BitVector cap and past 64 bits
+    for text in ("00" + "10" * 33 + "000", "1" + "0" * 70 + "1"):
+        word = int(text[::-1], 2)
+        assert bit_string(word, len(text)) == text
+        assert bit_string(word, len(text) + 2) == text + "00"
 
 
 def test_weight_counts_support():
