@@ -2,12 +2,12 @@
 
 Provides the predicted Lee weight distributions for the five defining-set
 variants, a brute-force-vs-prediction comparator, and the individual
-certificates: exhaustive minimality, the minimum/maximum weight-ratio
-sufficient condition for minimality, exact self-orthogonality on a
-spanning basis, the divisible-by-4 sufficient condition, Griesmer sums
-with an optimality verdict, the closed-form optimality predictor for T2
-parameters, and the replicated-simplex structure check for 1-weight
-codes.
+certificates: exact minimality by one rank test per codeword, the
+minimum/maximum weight-ratio sufficient condition for minimality, exact
+self-orthogonality on a spanning basis, the divisible-by-4 sufficient
+condition, Griesmer sums with an optimality verdict, the closed-form
+optimality predictor for T2 parameters, and the replicated-simplex
+structure check for 1-weight codes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .construction import (
     gray_image,
     weight_enumerator,
 )
-from .errors import BudgetExceededError, EmptyDefiningSetError
+from .errors import EmptyDefiningSetError
 from .geometry import bit_string, gf2_basis
 
 #: Everything cmd_analyze knows how to run.
@@ -44,10 +44,6 @@ ALL_ANALYSES = (
     "simplex",
     "verify",
 )
-
-#: Largest codeword count accepted by the exhaustive pairwise scans.
-PAIRWISE_SCAN_LIMIT = 1 << 16
-
 
 @dataclass(frozen=True)
 class PredictedDistribution:
@@ -284,18 +280,18 @@ class MinimalityFinding:
 
 
 def is_minimal_exhaustive(table: CodeTable) -> MinimalityFinding:
-    """Scan all ordered pairs of distinct nonzero codewords for a
-    support containment; none may exist."""
+    """No nonzero codeword's support may contain another's.  Nonzero u is
+    covered iff some nonzero codeword avoids supp(u), iff masking a basis
+    with u drops its rank: one GF(2) rank test per codeword.  The witness
+    is the first such u and the first v covering it, in table order."""
     _require_binary(table)
-    if len(table.codewords) > PAIRWISE_SCAN_LIMIT:
-        raise BudgetExceededError(
-            len(table.codewords) ** 2, PAIRWISE_SCAN_LIMIT**2, "minimality scan"
-        )
-    nonzero = [w for w in table.codewords if w]
-    for u in nonzero:
-        for v in nonzero:
-            if u != v and u & v == u:
-                return MinimalityFinding(False, (u, v))
+    basis = gf2_basis(table.codewords)
+    if 1 << len(basis) != len(table.codewords):
+        raise ValueError("codeword count is not a power of two (linearity violation)")
+    for u in table.codewords:
+        if u and len(gf2_basis(row & u for row in basis)) < len(basis):
+            v = next(v for v in table.codewords if v != u and u & v == u)
+            return MinimalityFinding(False, (u, v))
     return MinimalityFinding(True, None)
 
 
@@ -660,19 +656,16 @@ def analyze(
         ab = ab_condition(image)
         fields["ab_ratio"] = str(ab.ratio)
         fields["ab_holds"] = ab.holds
-        try:
-            finding = is_minimal_exhaustive(image)
-            fields["minimal"] = "yes-exhaustive" if finding.minimal else "no"
-            if finding.witness is not None:
-                fields["minimal_witness"] = tuple(
-                    bit_string(w, image.length) for w in finding.witness
-                )
-            if ab.holds and not finding.minimal:
-                raise AssertionError(
-                    "weight-ratio condition must force exhaustive minimality"
-                )
-        except BudgetExceededError:
-            fields["minimal"] = "yes-AB" if ab.holds else "undecided-budget"
+        finding = is_minimal_exhaustive(image)
+        fields["minimal"] = "yes-exhaustive" if finding.minimal else "no"
+        if finding.witness is not None:
+            fields["minimal_witness"] = tuple(
+                bit_string(w, image.length) for w in finding.witness
+            )
+        if ab.holds and not finding.minimal:
+            raise AssertionError(
+                "weight-ratio condition must force exhaustive minimality"
+            )
 
     if params is not None and not zero_code and "griesmer" in requested:
         finding = griesmer_check(params.n, params.k, params.d)
@@ -757,7 +750,7 @@ def _expectation_diffs(
             or (spec.variant in (Variant.T2, Variant.T4) and a <= m - 2)
             or (spec.variant is Variant.T5 and a + b <= 2 * m - 2)
         )
-        if expect_minimal and minimal not in ("yes-exhaustive", "yes-AB"):
+        if expect_minimal and minimal != "yes-exhaustive":
             diffs.append("expected a minimal code for these parameters")
 
     return diffs

@@ -123,7 +123,7 @@ class ExperimentConfig:
             raise UsageError("config format must be 'text' or 'structured'")
         budget = doc.get("work_budget")
         if budget is not None:
-            budget = _positive_budget(budget, "work_budget")
+            budget = _positive_int(budget, "work_budget")
         jobs, analyses = [], []
         for i, job in enumerate(doc["jobs"]):
             if not isinstance(job, dict):
@@ -211,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_budget(value, source: str) -> int:
-    """A work budget from outside the program: a positive integer, or a usage error."""
+def _positive_int(value, source: str) -> int:
+    """A positive integer from outside the program, or a usage error."""
     if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
         raise UsageError(f"{source} must be a positive integer, got {value!r}")
     return value
@@ -220,14 +220,14 @@ def _positive_budget(value, source: str) -> int:
 
 def _effective_budget(flag_value: int | None) -> int | None:
     if flag_value is not None:
-        return _positive_budget(flag_value, "--budget")
+        return _positive_int(flag_value, "--budget")
     env = os.environ.get(ENV_BUDGET)
     if env:
         try:
             value = int(env)
         except ValueError:
             raise UsageError(f"{ENV_BUDGET} must be an integer, got {env!r}") from None
-        return _positive_budget(value, ENV_BUDGET)
+        return _positive_int(value, ENV_BUDGET)
     return None
 
 
@@ -466,6 +466,8 @@ def _mask_to_subset(mask: int) -> frozenset[int]:
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
     budget = _effective_budget(args.budget)
+    if args.sample is not None:
+        _positive_int(args.sample, "--sample")
     dims = parse_m_range(args.m)
     variants = parse_variants(args.variants)
     groups = []

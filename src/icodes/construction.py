@@ -24,13 +24,17 @@ from .errors import BudgetExceededError, DimensionMismatchError, EmptyDefiningSe
 from .geometry import (
     MAX_DIMENSION,
     BitVector,
+    bit_string,
     complex_from_generator,
     gf2_basis,
 )
-from .ring import ELEMENTS, ZERO, RingElement
+from .ring import ELEMENTS, SYMBOLS, ZERO, RingElement
 
 #: Default cap on elementary parity operations for one code enumeration.
 DEFAULT_WORK_BUDGET = 1 << 32
+
+#: Hex digit s_i + 2*t_i (a vector's two 0/1 texts read as hex) to its symbol.
+_SYMBOL_OF_DIGIT = str.maketrans("0123", "".join(SYMBOLS))
 
 
 class Variant(str, Enum):
@@ -115,7 +119,8 @@ class RingVector:
         return RingVector(self.m, self.s_word ^ other.s_word, self.t_word ^ other.t_word)
 
     def __str__(self) -> str:
-        return "".join(self.element(i).symbol for i in range(1, self.m + 1))
+        s, t = (int(bit_string(word, self.m), 16) for word in (self.s_word, self.t_word))
+        return format(s + 2 * t, f"0{self.m}x").translate(_SYMBOL_OF_DIGIT)
 
 
 @dataclass(frozen=True)

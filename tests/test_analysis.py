@@ -7,7 +7,6 @@ import pytest
 
 from icodes import (
     Alphabet,
-    BudgetExceededError,
     CodeTable,
     DefiningSetSpec,
     EmptyDefiningSetError,
@@ -194,6 +193,17 @@ def test_weights_divisible_by_4_examples():
 # --- minimality -----------------------------------------------------------------
 
 
+def pairwise_minimality(table: CodeTable) -> tuple[bool, tuple[int, int] | None]:
+    """Brute-force oracle: the first ordered pair of distinct nonzero
+    codewords, in table order, whose second support contains the first."""
+    nonzero = [w for w in table.codewords if w]
+    for u in nonzero:
+        for v in nonzero:
+            if u != v and u & v == u:
+                return False, (u, v)
+    return True, None
+
+
 def test_one_weight_codes_are_minimal():
     table = gray_image(enumerate_code(build_defining_set(spec(Variant.T1, 4, {1, 2}, {3}))))
     assert is_minimal_exhaustive(table).minimal
@@ -211,20 +221,30 @@ def test_non_minimal_witness():
     covered, covering = finding.witness
     assert covered & covering == covered
     assert covered != covering
+    # random spans give covered words with several covers, so the
+    # witness order is pinned against the pairwise oracle
+    rng = random.Random(11)
+    non_minimal = 0
+    for _ in range(300):
+        n = rng.choice((4, 6, 9, 70))
+        table = span([rng.randrange(1 << n) for _ in range(rng.randint(1, 5))], n)
+        finding = is_minimal_exhaustive(table)
+        assert (finding.minimal, finding.witness) == pairwise_minimality(table)
+        non_minimal += not finding.minimal
+    assert 0 < non_minimal < 300
 
 
-def test_minimality_budget():
-    words = list(range(1 << 17))
-    big = CodeTable(
-        alphabet=Alphabet.BINARY,
-        length=17,
-        codewords=tuple(words),
-        kernel_size=1,
-        weight_distribution={0: 1},
-        message_profile={0: 1},
-    )
-    with pytest.raises(BudgetExceededError):
-        is_minimal_exhaustive(big)
+def test_minimality_decides_large_spans_and_rejects_non_linear_tables():
+    k = 12
+    rows = [
+        sum(1 << (x - 1) for x in range(1, 1 << k) if x >> i & 1) for i in range(k)
+    ]
+    simplex = span(rows, (1 << k) - 1)
+    assert len(simplex) == 4096
+    finding = is_minimal_exhaustive(simplex)
+    assert finding.minimal and finding.witness is None
+    with pytest.raises(ValueError):
+        is_minimal_exhaustive(binary_table(2, [0, 1, 2]))
 
 
 def test_ab_condition_cases():
@@ -248,8 +268,9 @@ def test_ab_condition_zero_code_rejected():
 
 
 def test_ab_implies_exhaustive_minimality_on_sweep():
-    for variant in (Variant.T2, Variant.T4, Variant.T5):
-        for m in (2, 3):
+    decided = non_minimal = 0
+    for variant in (Variant.T1, Variant.T2, Variant.T3, Variant.T4, Variant.T5):
+        for m in range(1, 5):
             for mm in range(1 << m):
                 for nn in range(1 << m):
                     M = frozenset(i + 1 for i in range(m) if mm >> i & 1)
@@ -258,11 +279,17 @@ def test_ab_implies_exhaustive_minimality_on_sweep():
                         ds = build_defining_set(spec(variant, m, M, N))
                     except EmptyDefiningSetError:
                         continue
-                    image = gray_image(enumerate_code(ds))
+                    # the ring-vs-rows spot check is covered elsewhere
+                    image = gray_image(enumerate_code(ds, agreement_samples=0))
                     if image.min_nonzero_weight() is None:
                         continue
+                    finding = is_minimal_exhaustive(image)
+                    assert (finding.minimal, finding.witness) == pairwise_minimality(image)
+                    decided += 1
+                    non_minimal += not finding.minimal
                     if ab_condition(image).holds:
-                        assert is_minimal_exhaustive(image).minimal
+                        assert finding.minimal
+    assert (decided, non_minimal) == (1524, 192)
 
 
 # --- Griesmer ---------------------------------------------------------------------

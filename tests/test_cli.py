@@ -243,6 +243,11 @@ def test_verify_json_document():
     assert doc["mismatches"] == []
 
 
+@pytest.mark.parametrize("sample", ["0", "-4"])
+def test_verify_non_positive_sample(sample, capsys):
+    assert_one_line_usage_error(["verify", "--m", "3", "--sample", sample], capsys)
+
+
 def test_verify_empty_variants_usage_error():
     code, _ = run(["verify", "--m", "2", "--variants", ""])
     assert code == 2

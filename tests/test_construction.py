@@ -175,6 +175,11 @@ def test_ring_vector_round_trip_and_weight():
     for i in range(1, 5):
         assert v.element(i) is ELEMENTS[i - 1]
     assert RingVector.from_elements(v.elements()) == v
+    rng = random.Random(2024)
+    for length in (1, 1, 1, 70, 71, 128):
+        w = RingVector(length, rng.randrange(1 << length), rng.randrange(1 << length))
+        assert str(w) == "".join(x.symbol for x in w.elements())
+        assert RingVector.from_string(str(w)) == w
 
 
 def test_ring_vector_gray_blocks():
