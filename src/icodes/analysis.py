@@ -171,8 +171,7 @@ class PredictionMatch:
 
 
 def verify_against_prediction(
-    spec: DefiningSetSpec, *, work_budget: int | None = None,
-    agreement_samples: int | None = None,
+    spec: DefiningSetSpec, *, work_budget: int | None = None
 ) -> PredictionMatch:
     """Enumerate the code of spec and compare with the closed forms.
 
@@ -210,9 +209,7 @@ def verify_against_prediction(
             predicted_rows=dict(pred.rows), actual_profile=None,
         )
 
-    table = enumerate_code(
-        ds, work_budget=work_budget, agreement_samples=agreement_samples
-    )
+    table = enumerate_code(ds, work_budget=work_budget)
     diffs = _profile_diffs(pred, len(ds), table)
     return PredictionMatch(
         **ctx, matched=not diffs, degenerate=False, diffs=tuple(diffs),
@@ -568,7 +565,6 @@ def analyze(
     *,
     analyses: Iterable[str] | None = None,
     work_budget: int | None = None,
-    agreement_samples: int | None = None,
 ) -> AnalysisReport:
     """Construct, enumerate, and certify the code of one spec.
 
@@ -607,9 +603,7 @@ def analyze(
             prediction_diffs=diffs,
         )
 
-    table = enumerate_code(
-        ds, work_budget=work_budget, agreement_samples=agreement_samples
-    )
+    table = enumerate_code(ds, work_budget=work_budget)
     diffs: list[str] = []
     prediction_match: bool | None = None
     if "verify" in requested and pred is not None:

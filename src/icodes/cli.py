@@ -129,7 +129,7 @@ class ExperimentConfig:
             if not isinstance(job, dict):
                 raise UsageError(f"config job {i} must be a JSON object")
             try:
-                m = int(job["m"])
+                m = _positive_int(job["m"], "m")
                 variant = Variant(job["variant"])
                 subsets = {}
                 for name in ("M", "N"):
@@ -137,10 +137,12 @@ class ExperimentConfig:
                     if isinstance(value, str):
                         subsets[name] = parse_subset(value)
                     else:
-                        subsets[name] = frozenset(int(x) for x in value)
+                        subsets[name] = frozenset(_positive_int(x, f"{name} entry") for x in value)
                 spec = DefiningSetSpec(
                     variant=variant, m=m, M=subsets["M"], N=subsets["N"]
                 )
+                if not isinstance(job.get("analyses", []), list):
+                    raise TypeError(f"analyses must be a list, got {job['analyses']!r}")
                 requested = tuple(job.get("analyses", ALL_ANALYSES))
             except (KeyError, ValueError, IndexError, TypeError) as exc:
                 raise UsageError(f"config job {i}: {exc}") from None

@@ -1,18 +1,23 @@
 """Defining sets over I^m and the codes they generate.
 
-A defining set is an ordered list of elements a*t1 + b*t2 of I^m, built
-from two subsets D1, D2 of F_2^m as all pairs (t1, t2).  Five named
-variants draw D1 and D2 from a simplicial complex, its complement, or
-(for T5) take the set complement of the T1 set inside I^m.  The code is
-the image of the evaluation map v -> (v . d)_{d in D} over all messages
-v in I^m; because b kills every product, a codeword depends only on the
-a-part of the message: the code is b times the row space of one m x n
-binary generator matrix (:attr:`DefiningSet.rows`), which this module
-exploits after checking that raw ring arithmetic and the rows agree.
+A defining set is an ordered list of elements a*t1 + b*t2 of I^m: the
+pairs (t1, t2) of one or more blocks D1 x D2, in turn.  One table
+(:func:`_blocks`) states each variant's blocks.  T1..T4 have one, whose
+parts are Delta_M or Delta_N (the vectors supported inside M or N) or
+their complements in F_2^m; T5, the complement in I^m of the T1 set, has
+two disjoint ones; GENERIC has one, of its given lists.  Parts have
+closed-form sizes, so lengths, budgets and empty-set errors build no
+members.  The code is the image of the evaluation map
+v -> (v . d)_{d in D} over all messages v in I^m; because b kills every
+product, a codeword depends only on the a-part of the message: the code
+is b times the row space of one m x n binary generator matrix
+(:attr:`DefiningSet.rows`), which this module exploits after checking
+that raw ring arithmetic and the rows agree.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -197,21 +202,52 @@ class DefiningSet:
         return RingVector(self.m, t1.bits, t2.bits)
 
 
-def _member_bits(m: int, indices: frozenset[int]) -> list[int]:
-    return [v.bits for v in complex_from_generator(m, indices).members()]
+@dataclass(frozen=True)
+class _Part:
+    """One factor of a block: Delta_S, or its complement in F_2^m.
+
+    len() is the closed form 2^|S| (2^m - 2^|S| for the complement), so
+    sizing a block builds no members; iterating lists the members in
+    increasing integer order.  All of F_2^m is Delta_[m].
+    """
+
+    m: int
+    indices: frozenset[int]
+    inside: bool = True
+
+    def __len__(self) -> int:
+        size = 1 << len(self.indices)
+        return size if self.inside else (1 << self.m) - size
+
+    def __iter__(self) -> Iterator[BitVector]:
+        complex_ = complex_from_generator(self.m, self.indices)
+        return iter(complex_.members() if self.inside else complex_.complement())
 
 
-def _complement_bits(m: int, indices: frozenset[int]) -> list[int]:
-    inside = set(_member_bits(m, indices))
-    return [bits for bits in range(1 << m) if bits not in inside]
+#: Why a variant's defining set can be empty; T1 and GENERIC never are.
+_EMPTY_REASONS = {
+    Variant.T2: "complement of the full complex is empty (|M| = m)",
+    Variant.T3: "complement of the full complex is empty (|N| = m)",
+    Variant.T4: "complement of the full complex is empty",
+    Variant.T5: "T1 set is all of I^m, its complement is empty",
+}
 
 
-def _product_pairs(m: int, part1: list[int], part2: list[int]) -> list[tuple[BitVector, BitVector]]:
-    return [
-        (BitVector(m, b1), BitVector(m, b2))
-        for b1 in part1
-        for b2 in part2
-    ]
+def _blocks(spec: DefiningSetSpec) -> tuple[tuple, ...]:
+    """The blocks D1 x D2 whose products, in turn, make up the defining set."""
+    if spec.variant is Variant.GENERIC:
+        return ((spec.d1, spec.d2),)
+    m = spec.m
+    delta_m, delta_n = _Part(m, spec.M), _Part(m, spec.N)
+    outside_m, outside_n = _Part(m, spec.M, inside=False), _Part(m, spec.N, inside=False)
+    everything = _Part(m, frozenset(range(1, m + 1)))
+    return {
+        Variant.T1: ((delta_m, delta_n),),
+        Variant.T2: ((outside_m, delta_n),),
+        Variant.T3: ((delta_m, outside_n),),
+        Variant.T4: ((outside_m, outside_n),),
+        Variant.T5: ((outside_m, everything), (delta_m, outside_n)),
+    }[spec.variant]
 
 
 def defining_set_length(spec: DefiningSetSpec) -> int:
@@ -220,30 +256,10 @@ def defining_set_length(spec: DefiningSetSpec) -> int:
     Raises EmptyDefiningSetError for parameter choices whose set has no
     elements, so callers can budget (or reject) before any construction.
     """
-    if spec.variant is Variant.GENERIC:
-        assert spec.d1 is not None and spec.d2 is not None
-        return len(spec.d1) * len(spec.d2)
-    m, full = spec.m, 1 << spec.m
-    size_m, size_n = len(spec.M), len(spec.N)
-    if spec.variant is Variant.T1:
-        return 1 << (size_m + size_n)
-    if spec.variant is Variant.T2:
-        if size_m == m:
-            raise EmptyDefiningSetError("complement of the full complex is empty (|M| = m)")
-        return (full - (1 << size_m)) << size_n
-    if spec.variant is Variant.T3:
-        if size_n == m:
-            raise EmptyDefiningSetError("complement of the full complex is empty (|N| = m)")
-        return (1 << size_m) * (full - (1 << size_n))
-    if spec.variant is Variant.T4:
-        if size_m == m or size_n == m:
-            raise EmptyDefiningSetError("complement of the full complex is empty")
-        return (full - (1 << size_m)) * (full - (1 << size_n))
-    if spec.variant is Variant.T5:
-        if size_m == m and size_n == m:
-            raise EmptyDefiningSetError("T1 set is all of I^m, its complement is empty")
-        return (full * full) - (1 << (size_m + size_n))
-    raise ValueError(f"unhandled variant {spec.variant}")  # pragma: no cover
+    length = sum(len(d1) * len(d2) for d1, d2 in _blocks(spec))
+    if length == 0:
+        raise EmptyDefiningSetError(_EMPTY_REASONS[spec.variant])
+    return length
 
 
 def check_work_budget(spec: DefiningSetSpec, work_budget: int | None) -> int:
@@ -264,38 +280,24 @@ def check_work_budget(spec: DefiningSetSpec, work_budget: int | None) -> int:
 def build_defining_set(spec: DefiningSetSpec) -> DefiningSet:
     """Materialize the ordered defining set described by spec.
 
-    Pairs are listed lexicographically, t1 major and t2 minor, with each
-    component in increasing integer order.  T5 lists its two disjoint
-    blocks in turn (a-part outside the M-complex with free b-part, then
-    a-part inside with b-part outside the N-complex), each block in the
-    same lexicographic order.
+    Each block lists its pairs lexicographically, t1 major and t2 minor,
+    with each component in increasing integer order (stably, so GENERIC
+    duplicates keep their order); T5 lists its two disjoint blocks in
+    turn (a-part outside the M-complex with free b-part, then a-part
+    inside with b-part outside the N-complex).  Each member is built once
+    and shared by every pair that uses it.
     """
-    m = spec.m
     expected = defining_set_length(spec)
-    if spec.variant is Variant.GENERIC:
-        assert spec.d1 is not None and spec.d2 is not None
-        pairs = sorted(
-            ((t1, t2) for t1 in spec.d1 for t2 in spec.d2),
-            key=lambda p: (p[0].bits, p[1].bits),
-        )
-    elif spec.variant is Variant.T1:
-        pairs = _product_pairs(m, _member_bits(m, spec.M), _member_bits(m, spec.N))
-    elif spec.variant is Variant.T2:
-        pairs = _product_pairs(m, _complement_bits(m, spec.M), _member_bits(m, spec.N))
-    elif spec.variant is Variant.T3:
-        pairs = _product_pairs(m, _member_bits(m, spec.M), _complement_bits(m, spec.N))
-    elif spec.variant is Variant.T4:
-        pairs = _product_pairs(m, _complement_bits(m, spec.M), _complement_bits(m, spec.N))
-    else:
-        block_a = _product_pairs(m, _complement_bits(m, spec.M), list(range(1 << m)))
-        block_b = _product_pairs(m, _member_bits(m, spec.M), _complement_bits(m, spec.N))
-        pairs = block_a + block_b
-
+    pairs = tuple(
+        pair
+        for d1, d2 in _blocks(spec)
+        for pair in sorted(itertools.product(d1, d2), key=lambda p: (p[0].bits, p[1].bits))
+    )
     if len(pairs) != expected:
         raise AssertionError(
             f"defining-set length {len(pairs)} disagrees with closed form {expected}"
         )
-    return DefiningSet(m, tuple(pairs))
+    return DefiningSet(spec.m, pairs)
 
 
 def encode(v: RingVector, ds: DefiningSet) -> RingVector:

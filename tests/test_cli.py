@@ -206,6 +206,27 @@ def test_analyze_config_boolean_work_budget(tmp_path: Path, capsys):
     assert_one_line_usage_error(["analyze", "--config", str(path)], capsys)
 
 
+@pytest.mark.parametrize(
+    "job, message",
+    [
+        ({"m": 5.9}, "m must be a positive integer, got 5.9"),
+        ({"m": True}, "m must be a positive integer, got True"),
+        ({"m": "5"}, "m must be a positive integer, got '5'"),
+        ({"M": [1.7]}, "M entry must be a positive integer, got 1.7"),
+        ({"N": [True]}, "N entry must be a positive integer, got True"),
+        ({"N": ["2"]}, "N entry must be a positive integer, got '2'"),
+        ({"analyses": "weights"}, "analyses must be a list, got 'weights'"),
+    ],
+    ids=["float-m", "bool-m", "string-m", "float-M", "bool-N", "string-N", "string-analyses"],
+)
+def test_analyze_config_rejects_coerced_values(job, message, tmp_path: Path, capsys):
+    path = tmp_path / "jobs.json"
+    good = {"variant": "T1", "m": 5, "M": [1], "N": [2]}
+    path.write_text(json.dumps({"jobs": [good, {**good, **job}]}), encoding="utf-8")
+    assert run(["analyze", "--config", str(path)]) == (2, "")
+    assert capsys.readouterr().err == f"error: config job 1: {message}\n"
+
+
 @pytest.mark.parametrize("budget", ["-5", "0"])
 def test_non_positive_budget_flag(budget, capsys):
     argv = ["construct", "--variant", "T1", "--m", "2", "--M", "1", "--N", "2"]

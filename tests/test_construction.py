@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from icodes import construction
 from icodes import (
     Alphabet,
     BitVector,
@@ -23,6 +24,7 @@ from icodes import (
     Variant,
     binary_params,
     build_defining_set,
+    check_work_budget,
     encode,
     enumerate_code,
     gray_image,
@@ -114,6 +116,78 @@ def test_pairs_are_lexicographic_t1_major():
     assert keys == sorted(keys)
 
 
+# The README variant table, written out independently of the library.
+def _delta(m, indices):
+    mask = sum(1 << (i - 1) for i in indices)
+    return [x for x in range(1 << m) if x & ~mask == 0]
+
+
+def _outside(m, indices):
+    inside = _delta(m, indices)
+    return [x for x in range(1 << m) if x not in inside]
+
+
+README_BLOCKS = {
+    Variant.T1: lambda m, M, N: [(_delta(m, M), _delta(m, N))],
+    Variant.T2: lambda m, M, N: [(_outside(m, M), _delta(m, N))],
+    Variant.T3: lambda m, M, N: [(_delta(m, M), _outside(m, N))],
+    Variant.T4: lambda m, M, N: [(_outside(m, M), _outside(m, N))],
+    Variant.T5: lambda m, M, N: [
+        (_outside(m, M), list(range(1 << m))),
+        (_delta(m, M), _outside(m, N)),
+    ],
+}
+EMPTY_MESSAGES = {
+    Variant.T2: "complement of the full complex is empty (|M| = m)",
+    Variant.T3: "complement of the full complex is empty (|N| = m)",
+    Variant.T4: "complement of the full complex is empty",
+    Variant.T5: "T1 set is all of I^m, its complement is empty",
+}
+
+
+def test_pair_sequences_follow_the_readme_table():
+    empty_seen = set()
+    for m in range(1, 4):
+        for mm, nn in itertools.product(range(1 << m), repeat=2):
+            M = frozenset(i + 1 for i in range(m) if mm >> i & 1)
+            N = frozenset(i + 1 for i in range(m) if nn >> i & 1)
+            for variant, blocks in README_BLOCKS.items():
+                expected = [
+                    (x, y) for d1, d2 in blocks(m, M, N) for x in d1 for y in d2
+                ]
+                if not expected:
+                    with pytest.raises(EmptyDefiningSetError) as err:
+                        build_defining_set(spec(variant, m, M, N))
+                    assert str(err.value) == EMPTY_MESSAGES[variant]
+                    empty_seen.add((variant, len(M) == m, len(N) == m))
+                    continue
+                ds = build_defining_set(spec(variant, m, M, N))
+                assert [(t1.bits, t2.bits) for t1, t2 in ds] == expected
+                assert all(t1.m == t2.m == m for t1, t2 in ds)
+    assert empty_seen == {
+        (Variant.T2, True, False), (Variant.T2, True, True),
+        (Variant.T3, False, True), (Variant.T3, True, True),
+        (Variant.T4, True, False), (Variant.T4, False, True), (Variant.T4, True, True),
+        (Variant.T5, True, True),
+    }
+
+
+def test_pairs_share_one_object_per_member():
+    ds = build_defining_set(spec(Variant.T5, 7, {1, 2, 3}, {4, 5, 6}))
+    assert len(ds) == 128 * 128 - 64
+    # D1 parts: 120 outside the M-complex, 8 inside; D2 parts: all 128, 120 outside.
+    assert len({id(v) for pair in ds for v in pair}) == 120 + 128 + 8 + 120
+
+
+def test_budget_check_builds_no_members(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the budget check built a member list")
+
+    monkeypatch.setattr(construction, "complex_from_generator", refuse)
+    with pytest.raises(BudgetExceededError):
+        check_work_budget(spec(Variant.T2, 24, {1}), None)
+
+
 def test_t5_blocks_partition_the_complement():
     m = 3
     M, N = {1, 2}, {3}
@@ -153,6 +227,13 @@ def test_generic_preserves_multiset_duplicates():
     )
     assert len(ds) == 2
     assert [(t1.bits, t2.bits) for t1, t2 in ds] == [(1, 2), (1, 2)]
+    # a repeated t1 lists all its pairs together, in lexicographic order
+    ds = build_defining_set(
+        DefiningSetSpec(variant=Variant.GENERIC, m=2, d1=(w, v, w), d2=(w, v))
+    )
+    assert [(t1.bits, t2.bits) for t1, t2 in ds] == [
+        (1, 1), (1, 2), (2, 1), (2, 1), (2, 2), (2, 2),
+    ]
 
 
 def test_spec_validation():
