@@ -1,17 +1,21 @@
 """Certification of code properties against closed-form predictions.
 
 Provides the predicted Lee weight distributions for the five defining-set
-variants, a brute-force-vs-prediction comparator, and the individual
-certificates: exact minimality by one rank test per codeword, the
-minimum/maximum weight-ratio sufficient condition for minimality, exact
-self-orthogonality on a spanning basis, the divisible-by-4 sufficient
-condition, Griesmer sums with an optimality verdict, the closed-form
-optimality predictor for T2 parameters, and the replicated-simplex
-structure check for 1-weight codes.
+variants, the individual certificates (exact minimality by one rank test
+per codeword, the minimum/maximum weight-ratio sufficient condition for
+minimality, exact self-orthogonality on a spanning basis, the
+divisible-by-4 sufficient condition, Griesmer sums with an optimality
+verdict, the closed-form optimality predictor for T2 parameters, and the
+replicated-simplex structure check for 1-weight codes), and ``analyze``,
+the one per-code entry point that builds, enumerates, certifies and compares
+each closed-form fact once.  ``verify_against_prediction`` is
+``analyze``'s weight-profile comparison: ``analyze`` restricted to the
+``verify`` analysis, projected to a ``PredictionMatch``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -166,74 +170,30 @@ class PredictionMatch:
     matched: bool
     degenerate: bool
     diffs: tuple[str, ...]
-    predicted_rows: dict[int, int] | None
     actual_profile: dict[int, int] | None
 
 
 def verify_against_prediction(
     spec: DefiningSetSpec, *, work_budget: int | None = None
 ) -> PredictionMatch:
-    """Enumerate the code of spec and compare with the closed forms.
+    """The weight-profile comparison of ``analyze``, and nothing else.
 
-    Parameter choices that predict an empty defining set must also fail
-    construction (and vice versa); that agreement is reported as a
-    degenerate match.
+    degenerate means an empty defining set; it matches when the
+    prediction is empty too.
     """
     if spec.variant is Variant.GENERIC:
         raise ValueError("GENERIC defining sets have no closed-form prediction")
-    pred = predicted_distribution(spec.variant, spec.m, spec.M, spec.N)
-    ctx = dict(
-        variant=spec.variant,
-        m=spec.m,
-        M=tuple(sorted(spec.M)),
-        N=tuple(sorted(spec.N)),
-    )
-    try:
-        check_work_budget(spec, work_budget)
-        ds = build_defining_set(spec)
-    except EmptyDefiningSetError:
-        if pred.empty:
-            return PredictionMatch(
-                **ctx, matched=True, degenerate=True, diffs=(),
-                predicted_rows=dict(pred.rows), actual_profile=None,
-            )
-        return PredictionMatch(
-            **ctx, matched=False, degenerate=True,
-            diffs=(f"construction is empty but prediction has length {pred.length}",),
-            predicted_rows=dict(pred.rows), actual_profile=None,
-        )
-    if pred.empty:
-        return PredictionMatch(
-            **ctx, matched=False, degenerate=True,
-            diffs=(f"prediction is empty but construction has length {len(ds)}",),
-            predicted_rows=dict(pred.rows), actual_profile=None,
-        )
-
-    table = enumerate_code(ds, work_budget=work_budget)
-    diffs = _profile_diffs(pred, len(ds), table)
+    report = analyze(spec, analyses=("verify",), work_budget=work_budget)
     return PredictionMatch(
-        **ctx, matched=not diffs, degenerate=False, diffs=tuple(diffs),
-        predicted_rows=dict(pred.rows), actual_profile=dict(table.message_profile),
+        variant=report.variant,
+        m=report.m,
+        M=report.M,
+        N=report.N,
+        matched=not report.prediction_diffs,
+        degenerate=report.length is None,
+        diffs=report.prediction_diffs,
+        actual_profile=report.message_profile,
     )
-
-
-def _profile_diffs(
-    pred: PredictedDistribution, length: int, table: CodeTable
-) -> list[str]:
-    """Row-for-row comparison of an enumerated code with its prediction."""
-    diffs: list[str] = []
-    if length != pred.length:
-        diffs.append(f"length {length} != predicted {pred.length}")
-    if len(table.codewords) != pred.code_size:
-        diffs.append(f"code size {len(table.codewords)} != predicted {pred.code_size}")
-    if table.kernel_size != pred.kernel_size:
-        diffs.append(f"kernel {table.kernel_size} != predicted {pred.kernel_size}")
-    for w in sorted(set(table.message_profile) | set(pred.rows)):
-        got = table.message_profile.get(w, 0)
-        want = pred.rows.get(w, 0)
-        if got != want:
-            diffs.append(f"weight {w}: {got} messages, predicted {want}")
-    return diffs
 
 
 # ---------------------------------------------------------------------------
@@ -490,55 +450,26 @@ class AnalysisReport:
     prediction_diffs: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant.value,
-            "m": self.m,
-            "M": list(self.M),
-            "N": list(self.N),
-            "analyses": list(self.analyses),
-            "degenerate": self.degenerate,
-            "degenerate_reason": self.degenerate_reason,
-            "length": self.length,
-            "code_size": self.code_size,
-            "kernel_size": self.kernel_size,
-            "lee_weight_distribution": _str_keys(self.lee_weight_distribution),
-            "message_profile": _str_keys(self.message_profile),
-            "lee_enumerator": self.lee_enumerator,
-            "params": None if self.params is None else self.params.as_list(),
-            "num_weights": self.num_weights,
-            "minimal": self.minimal,
-            "minimal_witness": _listify(self.minimal_witness),
-            "ab_ratio": self.ab_ratio,
-            "ab_holds": self.ab_holds,
-            "self_orthogonal": self.self_orthogonal,
-            "self_orthogonal_witness": _listify(self.self_orthogonal_witness),
-            "weights_div4": self.weights_div4,
-            "griesmer_sum_at_d": self.griesmer_sum_at_d,
-            "griesmer_sum_at_d_plus_1": self.griesmer_sum_at_d_plus_1,
-            "optimality": self.optimality,
-            "theta1": self.theta1,
-            "theta2": self.theta2,
-            "theta_predicts_optimal": self.theta_predicts_optimal,
-            "simplex": None
-            if self.simplex is None
-            else {
-                "kind": self.simplex.kind,
-                "replication": self.simplex.replication,
-                "zero_columns": self.simplex.zero_columns,
-            },
-            "prediction_match": self.prediction_match,
-            "prediction_diffs": list(self.prediction_diffs),
-        }
+        return {f.name: _jsonable(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
 
-def _str_keys(mapping: dict[int, int] | None) -> dict[str, int] | None:
-    if mapping is None:
-        return None
+def _jsonable(value):
+    """One JSON conversion rule per report value type."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return _str_keys(value)
+    if isinstance(value, CodeParams):
+        return value.as_list()
+    if isinstance(value, SimplexFinding):
+        return dataclasses.asdict(value)
+    return value
+
+
+def _str_keys(mapping: dict[int, int]) -> dict[str, int]:
     return {str(k): mapping[k] for k in sorted(mapping)}
-
-
-def _listify(pair: tuple[str, str] | None) -> list[str] | None:
-    return None if pair is None else list(pair)
 
 
 def _normalize_analyses(analyses: Iterable[str] | None) -> tuple[str, ...]:
@@ -573,11 +504,10 @@ def analyze(
     can walk every parameter combination.
     """
     requested = _normalize_analyses(analyses)
-    has_prediction = spec.variant is not Variant.GENERIC
     pred = (
-        predicted_distribution(spec.variant, spec.m, spec.M, spec.N)
-        if has_prediction
-        else None
+        None
+        if spec.variant is Variant.GENERIC
+        else predicted_distribution(spec.variant, spec.m, spec.M, spec.N)
     )
     ctx = dict(
         variant=spec.variant,
@@ -591,26 +521,17 @@ def analyze(
         check_work_budget(spec, work_budget)
         ds = build_defining_set(spec)
     except EmptyDefiningSetError as exc:
-        matched = pred.empty if pred is not None else None
-        diffs: tuple[str, ...] = ()
-        if matched is False:
-            diffs = (f"defining set is empty but prediction has length {pred.length}",)
+        prediction_match, diffs = _expectation_diffs(spec, pred, {}, requested)
         return AnalysisReport(
             **ctx,
             degenerate=True,
             degenerate_reason=f"empty defining set: {exc}",
-            prediction_match=matched,
-            prediction_diffs=diffs,
+            prediction_match=prediction_match,
+            prediction_diffs=tuple(diffs),
         )
 
     table = enumerate_code(ds, work_budget=work_budget)
     diffs: list[str] = []
-    prediction_match: bool | None = None
-    if "verify" in requested and pred is not None:
-        profile_diffs = _profile_diffs(pred, len(ds), table)
-        prediction_match = not profile_diffs
-        diffs.extend(profile_diffs)
-
     fields: dict = dict(
         length=len(ds),
         code_size=len(table.codewords),
@@ -691,10 +612,10 @@ def analyze(
         else:
             fields["simplex"] = SimplexFinding("not-one-weight", None, None)
 
-    diffs.extend(_expectation_diffs(spec, pred, fields, requested))
+    prediction_match, expected = _expectation_diffs(spec, pred, fields, requested)
     return AnalysisReport(
         **ctx, **fields, prediction_match=prediction_match,
-        prediction_diffs=tuple(diffs),
+        prediction_diffs=tuple(expected + diffs),
     )
 
 
@@ -703,30 +624,48 @@ def _expectation_diffs(
     pred: PredictedDistribution | None,
     fields: dict,
     requested: tuple[str, ...],
-) -> list[str]:
+) -> tuple[bool | None, list[str]]:
     """Compare computed findings with the closed-form expectations.
 
-    Only sufficient conditions are gated: where the tables make no claim
-    (e.g. optimality of T4/T5 images) the finding is reported ungated.
+    Returns (prediction_match, diffs), each fact compared once.  An empty
+    defining set or an empty prediction is one line against the other
+    side, and then nothing else is compared.  Otherwise length, code size
+    and the weight count are compared (``weights`` always runs), then the
+    kernel and the message rows under ``verify``; prediction_match says
+    whether these profile checks held, and is None without ``verify`` on
+    a built code or without a prediction.  Of the certificates only
+    sufficient conditions are gated: where the tables make no claim (e.g.
+    optimality of T4/T5 images) the finding is reported ungated.
     """
     if pred is None:
-        return []
+        return None, []
+    length = fields.get("length")
+    if length is None:
+        if pred.empty:
+            return True, []
+        return False, [f"construction is empty but prediction has length {pred.length}"]
+    if pred.empty:
+        return False, [f"prediction is empty but construction has length {length}"]
     diffs: list[str] = []
+    if length != pred.length:
+        diffs.append(f"length {length} != predicted {pred.length}")
+    if fields["code_size"] != pred.code_size:
+        diffs.append(f"code size {fields['code_size']} != predicted {pred.code_size}")
+    if fields["num_weights"] != pred.num_weights:
+        diffs.append(f"{fields['num_weights']} nonzero weights, predicted {pred.num_weights}")
+    prediction_match = None
+    if "verify" in requested:
+        if fields["kernel_size"] != pred.kernel_size:
+            diffs.append(f"kernel {fields['kernel_size']} != predicted {pred.kernel_size}")
+        profile = fields["message_profile"]
+        for w in sorted(set(profile) | set(pred.rows)):
+            got, want = profile.get(w, 0), pred.rows.get(w, 0)
+            if got != want:
+                diffs.append(f"weight {w}: {got} messages, predicted {want}")
+        prediction_match = not diffs
+
     a, b = pred.size_m, pred.size_n
     m = spec.m
-
-    if fields.get("message_profile") is not None and "weights" in requested:
-        if fields["length"] != pred.length:
-            diffs.append(f"length {fields['length']} != predicted {pred.length}")
-        if fields["code_size"] != pred.code_size:
-            diffs.append(
-                f"code size {fields['code_size']} != predicted {pred.code_size}"
-            )
-        if fields["num_weights"] != pred.num_weights:
-            diffs.append(
-                f"{fields['num_weights']} nonzero weights, predicted {pred.num_weights}"
-            )
-
     params = fields.get("params")
     if params is not None:
         expected = (pred.binary_n, pred.binary_k, pred.binary_d)
@@ -747,4 +686,4 @@ def _expectation_diffs(
         if expect_minimal and minimal != "yes-exhaustive":
             diffs.append("expected a minimal code for these parameters")
 
-    return diffs
+    return prediction_match, diffs

@@ -25,6 +25,7 @@ from .analysis import (
     ALL_ANALYSES,
     AnalysisReport,
     PredictionMatch,
+    _normalize_analyses,
     _str_keys,
     analyze,
     verify_against_prediction,
@@ -143,7 +144,7 @@ class ExperimentConfig:
                 )
                 if not isinstance(job.get("analyses", []), list):
                     raise TypeError(f"analyses must be a list, got {job['analyses']!r}")
-                requested = tuple(job.get("analyses", ALL_ANALYSES))
+                requested = _normalize_analyses(job.get("analyses"))
             except (KeyError, ValueError, IndexError, TypeError) as exc:
                 raise UsageError(f"config job {i}: {exc}") from None
             jobs.append(spec)

@@ -146,8 +146,12 @@ class DefiningSetSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variant", Variant(self.variant))
-        object.__setattr__(self, "M", frozenset(int(i) for i in self.M))
-        object.__setattr__(self, "N", frozenset(int(i) for i in self.N))
+        object.__setattr__(self, "M", frozenset(self.M))
+        object.__setattr__(self, "N", frozenset(self.N))
+        for name, values in (("m", (self.m,)), ("M", self.M), ("N", self.N)):
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(f"{name}: expected an integer, got {value!r}")
         if not 1 <= self.m <= MAX_DIMENSION:
             raise ValueError(f"m must be in 1..{MAX_DIMENSION}, got {self.m}")
         for name, subset in (("M", self.M), ("N", self.N)):

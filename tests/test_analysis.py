@@ -1,10 +1,15 @@
 """Predicted distributions, verification sweeps, and the certificates."""
 
+import dataclasses
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+from icodes import analysis
+from icodes.analysis import ALL_ANALYSES
+from icodes.cli import main
 from icodes import (
     Alphabet,
     CodeTable,
@@ -460,3 +465,80 @@ def test_analyze_report_serialization_is_stable():
     import json
 
     assert json.dumps(doc, sort_keys=True) == json.dumps(report.to_dict(), sort_keys=True)
+
+
+def test_report_serialization_converts_each_value_type():
+    doc = analyze(spec(Variant.T1, 6, {2, 3}, {4, 5})).to_dict()
+    assert doc["simplex"] == {"kind": "replicated-simplex", "replication": 8, "zero_columns": 8}
+    assert doc["analyses"] == list(ALL_ANALYSES) and doc["M"] == [2, 3]
+    doc = analyze(spec(Variant.T2, 3, {1, 2}, {3})).to_dict()
+    assert doc["minimal"] == "no" and isinstance(doc["minimal_witness"], list)
+    assert len(doc["minimal_witness"]) == 2 and doc["prediction_diffs"] == []
+    assert set(doc) == {f.name for f in dataclasses.fields(analysis.AnalysisReport)}
+
+
+# --- each closed-form fact compared once -------------------------------------------
+
+
+def tamper_prediction(monkeypatch, **changes):
+    """Patch the closed forms: changes maps a field to a function of its true value."""
+    real = analysis.predicted_distribution
+
+    def tampered(*args):
+        pred = real(*args)
+        return dataclasses.replace(
+            pred, **{name: change(getattr(pred, name)) for name, change in changes.items()}
+        )
+
+    monkeypatch.setattr(analysis, "predicted_distribution", tampered)
+
+
+def test_each_diff_line_is_reported_once(monkeypatch):
+    tamper_prediction(
+        monkeypatch,
+        length=lambda n: n + 1,
+        code_size=lambda size: 2 * size,
+        rows=lambda rows: {**rows, max(rows): rows[max(rows)] + 1},
+    )
+    s = spec(Variant.T2, 4, {1, 2}, {3})
+    expected = {
+        "length 24 != predicted 25",
+        "code size 16 != predicted 32",
+        "weight 32: 48 messages, predicted 49",
+    }
+    report = analyze(s)
+    assert len(set(report.prediction_diffs)) == len(report.prediction_diffs)
+    assert set(report.prediction_diffs) == expected
+    assert report.prediction_match is False
+    match = verify_against_prediction(s)
+    assert not match.matched and not match.degenerate
+    assert len(set(match.diffs)) == len(match.diffs)
+    assert set(match.diffs) == expected
+    out = io.StringIO()
+    assert main(["verify", "--m", "4", "--variants", "T2", "--sample", "3"], out=out) == 1
+    blocks = out.getvalue().split("MISMATCH ")[1:]
+    assert len(blocks) == 3
+    for block in blocks:
+        lines = [line for line in block.splitlines() if line.startswith("  - ")]
+        assert lines and len(set(lines)) == len(lines), block
+
+
+def test_prediction_of_an_empty_set_disagrees_in_one_line(monkeypatch):
+    tamper_prediction(monkeypatch, length=lambda n: 0)
+    s = spec(Variant.T2, 4, {1, 2}, {3})
+    line = "prediction is empty but construction has length 24"
+    report = analyze(s)
+    assert report.prediction_diffs == (line,) and report.prediction_match is False
+    match = verify_against_prediction(s)
+    assert match.diffs == (line,) and not match.matched and not match.degenerate
+
+
+def test_empty_construction_disagrees_in_one_line(monkeypatch):
+    tamper_prediction(monkeypatch, length=lambda n: n + 7)
+    s = spec(Variant.T2, 3, {1, 2, 3}, {1})
+    line = "construction is empty but prediction has length 7"
+    report = analyze(s)
+    assert report.prediction_diffs == (line,) and report.prediction_match is False
+    match = verify_against_prediction(s)
+    assert match.diffs == (line,) and not match.matched and match.degenerate
+    assert match.actual_profile is None

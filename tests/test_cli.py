@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from icodes import cli
+from icodes.analysis import ALL_ANALYSES
 from icodes.cli import main, parse_m_range, parse_subset, parse_variants, UsageError
 from icodes.ring import ELEMENTS
 
@@ -225,6 +227,27 @@ def test_analyze_config_rejects_coerced_values(job, message, tmp_path: Path, cap
     path.write_text(json.dumps({"jobs": [good, {**good, **job}]}), encoding="utf-8")
     assert run(["analyze", "--config", str(path)]) == (2, "")
     assert capsys.readouterr().err == f"error: config job 1: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "analyses, message",
+    [
+        (["bogus"], f"unknown analysis 'bogus'; valid: {ALL_ANALYSES}"),
+        ([], "no analyses requested"),
+    ],
+    ids=["unknown-name", "empty-list"],
+)
+def test_analyze_config_checks_analyses_before_any_job_runs(
+    analyses, message, tmp_path: Path, capsys, monkeypatch
+):
+    ran = []
+    monkeypatch.setattr(cli, "analyze", lambda spec, **kwargs: ran.append(spec))
+    path = tmp_path / "jobs.json"
+    good = {"variant": "T2", "m": 9, "M": [1, 2, 3], "N": [4]}
+    path.write_text(json.dumps({"jobs": [good, {**good, "analyses": analyses}]}), encoding="utf-8")
+    assert run(["analyze", "--config", str(path)]) == (2, "")
+    assert capsys.readouterr().err == f"error: config job 1: {message}\n"
+    assert ran == []
 
 
 @pytest.mark.parametrize("budget", ["-5", "0"])

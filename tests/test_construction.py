@@ -245,6 +245,23 @@ def test_spec_validation():
         DefiningSetSpec(variant=Variant.T1, m=2, d1=(BitVector(2, 1),))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"m": True}, "m: expected an integer, got True"),
+        ({"m": 3.5}, "m: expected an integer, got 3.5"),
+        ({"M": {1.7}}, "M: expected an integer, got 1.7"),
+        ({"M": {True}}, "M: expected an integer, got True"),
+        ({"N": {"2"}}, "N: expected an integer, got '2'"),
+    ],
+    ids=["bool-m", "float-m", "float-M", "bool-M", "string-N"],
+)
+def test_spec_rejects_non_integers(fields, message):
+    with pytest.raises(ValueError) as excinfo:
+        DefiningSetSpec(**{"variant": Variant.T1, "m": 3, **fields})
+    assert str(excinfo.value) == message
+
+
 # --- ring vectors and encoding -------------------------------------------------
 
 
