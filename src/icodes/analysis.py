@@ -8,7 +8,10 @@ divisible-by-4 sufficient condition, Griesmer sums with an optimality
 verdict, the closed-form optimality predictor for T2 parameters, and the
 replicated-simplex structure check for 1-weight codes), and ``analyze``,
 the one per-code entry point that builds, enumerates, certifies and compares
-each closed-form fact once.  ``verify_against_prediction`` is
+each closed-form fact once.  The certificates read the image's cached
+:attr:`~icodes.construction.CodeTable.basis` rather than eliminating it
+again, and ``analyze`` judges each one against its closed-form
+expectation where it computes it.  ``verify_against_prediction`` is
 ``analyze``'s weight-profile comparison: ``analyze`` restricted to the
 ``verify`` analysis, projected to a ``PredictionMatch``.
 """
@@ -139,9 +142,11 @@ def predicted_distribution(
         if frequency:
             merged[weight] += frequency
     rows = {w: merged[w] for w in sorted(merged)}
-    assert sum(rows.values()) == messages, "table frequencies must sum to 4^m"
-    code_size = messages // rows[0]
-    assert messages % rows[0] == 0
+    if sum(rows.values()) != messages:
+        raise AssertionError("table frequencies must sum to 4^m")
+    code_size, remainder = divmod(messages, rows[0])
+    if remainder:
+        raise AssertionError("the kernel row must divide 4^m")
     nonzero = [w for w in rows if w]
     return PredictedDistribution(
         variant=variant,
@@ -215,7 +220,7 @@ def is_self_orthogonal(table: CodeTable) -> OrthogonalityFinding:
     of codewords exactly.
     """
     _require_binary(table)
-    basis = gf2_basis(table.codewords)
+    basis = table.basis
     for i, u in enumerate(basis):
         for v in basis[i:]:
             if (u & v).bit_count() & 1:
@@ -242,9 +247,7 @@ def is_minimal_exhaustive(table: CodeTable) -> MinimalityFinding:
     with u drops its rank: one GF(2) rank test per codeword.  The witness
     is the first such u and the first v covering it, in table order."""
     _require_binary(table)
-    basis = gf2_basis(table.codewords)
-    if 1 << len(basis) != len(table.codewords):
-        raise ValueError("codeword count is not a power of two (linearity violation)")
+    basis = table.basis
     for u in table.codewords:
         if u and len(gf2_basis(row & u for row in basis)) < len(basis):
             v = next(v for v in table.codewords if v != u and u & v == u)
@@ -373,10 +376,8 @@ def simplex_structure(table: CodeTable) -> SimplexFinding:
     if len(nonzero_weights) != 1:
         raise ValueError("not a 1-weight code")
     common = nonzero_weights[0]
-    basis = gf2_basis(table.codewords)
+    basis = table.basis
     k = len(basis)
-    if 1 << k != len(table.codewords):
-        raise ValueError("codeword count is not a power of two (linearity violation)")
     columns: Counter[int] = Counter()
     zero_columns = 0
     for j in range(table.length):
@@ -501,7 +502,11 @@ def analyze(
 
     Degenerate parameter choices (an empty defining set, or a zero code)
     produce a structured degenerate report instead of raising, so sweeps
-    can walk every parameter combination.
+    can walk every parameter combination.  Each certificate is judged
+    where it is computed, in the order the diffs list them.  Only the
+    paper's sufficient conditions are gated: where the tables make no
+    claim (e.g. optimality of T4/T5 images) the finding is reported
+    ungated.
     """
     requested = _normalize_analyses(analyses)
     pred = (
@@ -521,7 +526,7 @@ def analyze(
         check_work_budget(spec, work_budget)
         ds = build_defining_set(spec)
     except EmptyDefiningSetError as exc:
-        prediction_match, diffs = _expectation_diffs(spec, pred, {}, requested)
+        prediction_match, diffs = _expectation_diffs(pred, {}, requested)
         return AnalysisReport(
             **ctx,
             degenerate=True,
@@ -531,7 +536,6 @@ def analyze(
         )
 
     table = enumerate_code(ds, work_budget=work_budget)
-    diffs: list[str] = []
     fields: dict = dict(
         length=len(ds),
         code_size=len(table.codewords),
@@ -541,6 +545,9 @@ def analyze(
         lee_enumerator=weight_enumerator(table),
         num_weights=table.num_weights,
     )
+    prediction_match, diffs = _expectation_diffs(pred, fields, requested)
+    # The certificates are gated only against a nonempty prediction.
+    claims = None if pred is None or pred.empty else pred
 
     zero_code = table.num_weights == 0
     if zero_code:
@@ -552,6 +559,10 @@ def analyze(
         image = gray_image(table)
         params = binary_params(image)
         fields["params"] = params
+        if claims:
+            expected = [claims.binary_n, claims.binary_k, claims.binary_d]
+            if params.as_list() != expected:
+                diffs.append(f"binary params {params} != predicted {expected}")
 
     if image is not None and "self-orthogonal" in requested:
         orth = is_self_orthogonal(image)
@@ -566,6 +577,8 @@ def analyze(
             raise AssertionError(
                 "weights divisible by 4 must force self-orthogonality"
             )
+        if claims and claims.size_m + claims.size_n >= 2 and not orth.self_orthogonal:
+            diffs.append("expected self-orthogonal (|M|+|N| >= 2)")
 
     if image is not None and not zero_code and "minimal" in requested:
         ab = ab_condition(image)
@@ -581,6 +594,12 @@ def analyze(
             raise AssertionError(
                 "weight-ratio condition must force exhaustive minimality"
             )
+        if claims and not finding.minimal and (
+            claims.num_weights == 1
+            or (spec.variant in (Variant.T2, Variant.T4) and claims.size_m <= spec.m - 2)
+            or (spec.variant is Variant.T5 and claims.size_m + claims.size_n <= 2 * spec.m - 2)
+        ):
+            diffs.append("expected a minimal code for these parameters")
 
     if params is not None and not zero_code and "griesmer" in requested:
         finding = griesmer_check(params.n, params.k, params.d)
@@ -612,78 +631,49 @@ def analyze(
         else:
             fields["simplex"] = SimplexFinding("not-one-weight", None, None)
 
-    prediction_match, expected = _expectation_diffs(spec, pred, fields, requested)
     return AnalysisReport(
-        **ctx, **fields, prediction_match=prediction_match,
-        prediction_diffs=tuple(expected + diffs),
+        **ctx, **fields, prediction_match=prediction_match, prediction_diffs=tuple(diffs)
     )
 
 
 def _expectation_diffs(
-    spec: DefiningSetSpec,
     pred: PredictedDistribution | None,
     fields: dict,
     requested: tuple[str, ...],
 ) -> tuple[bool | None, list[str]]:
-    """Compare computed findings with the closed-form expectations.
+    """Compare the enumerated code with its closed-form profile.
 
     Returns (prediction_match, diffs), each fact compared once.  An empty
     defining set or an empty prediction is one line against the other
     side, and then nothing else is compared.  Otherwise length, code size
     and the weight count are compared (``weights`` always runs), then the
-    kernel and the message rows under ``verify``; prediction_match says
-    whether these profile checks held, and is None without ``verify`` on
-    a built code or without a prediction.  Of the certificates only
-    sufficient conditions are gated: where the tables make no claim (e.g.
-    optimality of T4/T5 images) the finding is reported ungated.
+    kernel and the message rows under ``verify``.  prediction_match is
+    whether no such line was found, and None unless ``verify`` was
+    requested against a prediction.  The certificates are judged where
+    ``analyze`` computes them.
     """
     if pred is None:
         return None, []
     length = fields.get("length")
-    if length is None:
-        if pred.empty:
-            return True, []
-        return False, [f"construction is empty but prediction has length {pred.length}"]
-    if pred.empty:
-        return False, [f"prediction is empty but construction has length {length}"]
     diffs: list[str] = []
-    if length != pred.length:
-        diffs.append(f"length {length} != predicted {pred.length}")
-    if fields["code_size"] != pred.code_size:
-        diffs.append(f"code size {fields['code_size']} != predicted {pred.code_size}")
-    if fields["num_weights"] != pred.num_weights:
-        diffs.append(f"{fields['num_weights']} nonzero weights, predicted {pred.num_weights}")
-    prediction_match = None
-    if "verify" in requested:
-        if fields["kernel_size"] != pred.kernel_size:
-            diffs.append(f"kernel {fields['kernel_size']} != predicted {pred.kernel_size}")
-        profile = fields["message_profile"]
-        for w in sorted(set(profile) | set(pred.rows)):
-            got, want = profile.get(w, 0), pred.rows.get(w, 0)
-            if got != want:
-                diffs.append(f"weight {w}: {got} messages, predicted {want}")
-        prediction_match = not diffs
-
-    a, b = pred.size_m, pred.size_n
-    m = spec.m
-    params = fields.get("params")
-    if params is not None:
-        expected = (pred.binary_n, pred.binary_k, pred.binary_d)
-        if (params.n, params.k, params.d) != expected:
-            diffs.append(f"binary params {params} != predicted {list(expected)}")
-
-    if fields.get("self_orthogonal") is not None and a + b >= 2:
-        if fields["self_orthogonal"] != "yes-direct":
-            diffs.append("expected self-orthogonal (|M|+|N| >= 2)")
-
-    minimal = fields.get("minimal")
-    if minimal is not None:
-        expect_minimal = (
-            pred.num_weights == 1
-            or (spec.variant in (Variant.T2, Variant.T4) and a <= m - 2)
-            or (spec.variant is Variant.T5 and a + b <= 2 * m - 2)
-        )
-        if expect_minimal and minimal != "yes-exhaustive":
-            diffs.append("expected a minimal code for these parameters")
-
-    return prediction_match, diffs
+    if length is None:
+        if not pred.empty:
+            diffs.append(f"construction is empty but prediction has length {pred.length}")
+    elif pred.empty:
+        diffs.append(f"prediction is empty but construction has length {length}")
+    else:
+        if length != pred.length:
+            diffs.append(f"length {length} != predicted {pred.length}")
+        if fields["code_size"] != pred.code_size:
+            diffs.append(f"code size {fields['code_size']} != predicted {pred.code_size}")
+        if fields["num_weights"] != pred.num_weights:
+            diffs.append(f"{fields['num_weights']} nonzero weights, predicted {pred.num_weights}")
+        if "verify" in requested:
+            if fields["kernel_size"] != pred.kernel_size:
+                diffs.append(f"kernel {fields['kernel_size']} != predicted {pred.kernel_size}")
+            profile = fields["message_profile"]
+            for w in sorted(set(profile) | set(pred.rows)):
+                got, want = profile.get(w, 0), pred.rows.get(w, 0)
+                if got != want:
+                    diffs.append(f"weight {w}: {got} messages, predicted {want}")
+    return (not diffs if "verify" in requested else None), diffs

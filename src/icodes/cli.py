@@ -13,6 +13,7 @@ expectation, 2 usage or degenerate-parameter error, 3 work budget exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -476,40 +477,33 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     groups = []
     mismatches: list[PredictionMatch] = []
     budget_hit: BudgetExceededError | None = None
-    total = matched = degenerate = 0
 
-    for variant in variants:
-        for m in dims:
-            group = {"variant": variant.value, "m": m, "pairs": 0, "matched": 0, "degenerate": 0}
-            try:
-                for mask_m, mask_n in _sweep_pairs(m, args.sample, args.seed):
-                    spec = DefiningSetSpec(
-                        variant=variant, m=m,
-                        M=_mask_to_subset(mask_m), N=_mask_to_subset(mask_n),
-                    )
-                    result = verify_against_prediction(spec, work_budget=budget)
-                    group["pairs"] += 1
-                    total += 1
-                    if result.matched:
-                        matched += 1
-                        group["matched"] += 1
-                    else:
-                        mismatches.append(result)
-                    if result.degenerate:
-                        degenerate += 1
-                        group["degenerate"] += 1
-            except BudgetExceededError as exc:
-                budget_hit = exc
-                groups.append(group)
-                break
-            groups.append(group)
-        if budget_hit:
+    for variant, m in itertools.product(variants, dims):
+        group = {"variant": variant.value, "m": m, "pairs": 0, "matched": 0, "degenerate": 0}
+        groups.append(group)
+        try:
+            for mask_m, mask_n in _sweep_pairs(m, args.sample, args.seed):
+                spec = DefiningSetSpec(
+                    variant=variant, m=m,
+                    M=_mask_to_subset(mask_m), N=_mask_to_subset(mask_n),
+                )
+                result = verify_against_prediction(spec, work_budget=budget)
+                group["pairs"] += 1
+                group["matched"] += result.matched
+                group["degenerate"] += result.degenerate
+                if not result.matched:
+                    mismatches.append(result)
+        except BudgetExceededError as exc:
+            budget_hit = exc
             break
 
+    pairs, matched, degenerate = (
+        sum(group[key] for group in groups) for key in ("pairs", "matched", "degenerate")
+    )
     summary = {
-        "pairs": total,
+        "pairs": pairs,
         "matched": matched,
-        "mismatched": total - matched,
+        "mismatched": pairs - matched,
         "degenerate": degenerate,
     }
     if args.format == "json":

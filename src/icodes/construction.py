@@ -11,8 +11,13 @@ members.  The code is the image of the evaluation map
 v -> (v . d)_{d in D} over all messages v in I^m; because b kills every
 product, a codeword depends only on the a-part of the message: the code
 is b times the row space of one m x n binary generator matrix
-(:attr:`DefiningSet.rows`), which this module exploits after checking
-that raw ring arithmetic and the rows agree.
+(:attr:`DefiningSet.rows`).  :func:`encode` is plain ring arithmetic
+and reads no row; the rows meet it in one place, the sampled agreement
+check of :func:`enumerate_code`'s fast walk, so the 4^m walk stays an
+oracle independent of the rows.  Each law of an enumerated table is
+checked by :meth:`CodeTable.validate` with explicit raises that survive
+``python -O``; a binary table's linearity is checked once, by its
+cached :attr:`CodeTable.basis`, which the certificates reuse.
 """
 
 from __future__ import annotations
@@ -305,25 +310,14 @@ def build_defining_set(spec: DefiningSetSpec) -> DefiningSet:
 
 
 def encode(v: RingVector, ds: DefiningSet) -> RingVector:
-    """Evaluate the codeword (v . d)_{d in D}.
+    """Evaluate the codeword (v . d)_{d in D} with plain ring arithmetic.
 
-    Computes every coordinate twice: once with plain ring arithmetic and
-    once in the reduced form b*(alpha . t1), the XOR of the generator rows
-    selected by the a-part alpha; the two must agree.
+    Reads no generator row, so the 4^m walk built on it is independent
+    of :attr:`DefiningSet.rows`.
     """
     if v.m != ds.m:
         raise DimensionMismatchError(f"message length {v.m} != ambient {ds.m}")
-    n = len(ds)
-    raw = RingVector.from_elements([v.dot(ds.element(i)) for i in range(n)])
-    word = 0
-    for i, row in enumerate(ds.rows):
-        if v.s_word >> i & 1:
-            word ^= row
-    if raw != RingVector(n, 0, word):
-        raise AssertionError(
-            "ring-arithmetic evaluation disagrees with the reduced form b*(alpha.t1)"
-        )
-    return raw
+    return RingVector.from_elements([v.dot(ds.element(i)) for i in range(len(ds))])
 
 
 @dataclass(frozen=True)
@@ -358,21 +352,44 @@ class CodeTable:
     def max_weight(self) -> int:
         return max(self.weight_distribution)
 
+    @cached_property
+    def basis(self) -> tuple[int, ...]:
+        """A GF(2) basis of a binary table, whose codewords must be its span.
+
+        The one linearity check: distinct words (as :meth:`validate`
+        requires first) number 2^rank only when they are the whole span.
+        """
+        if self.alphabet is not Alphabet.BINARY:
+            raise ValueError("basis expects a binary-alphabet code")
+        basis = gf2_basis(self.codewords)
+        if 1 << len(basis) != len(self.codewords):
+            raise ValueError(
+                f"{len(self.codewords)} codewords but rank {len(basis)} (linearity violation)"
+            )
+        return basis
+
     def validate(self) -> None:
-        """Check the internal consistency laws; raises AssertionError."""
+        """Check the internal consistency laws; raises AssertionError, or
+        ValueError when a binary table is not linear."""
         wd, mp = self.weight_distribution, self.message_profile
-        assert len(set(self.codewords)) == len(self.codewords), "duplicate codewords"
-        assert wd.get(0) == 1, "zero codeword must be the unique weight-0 word"
-        assert sum(wd.values()) == len(self.codewords)
-        assert set(wd) == set(mp)
+        _check(len(set(self.codewords)) == len(self.codewords), "duplicate codewords")
+        _check(wd.get(0) == 1, "zero codeword must be the unique weight-0 word")
+        _check(sum(wd.values()) == len(self.codewords), "weight counts must sum to the code size")
+        _check(set(wd) == set(mp), "distribution and message profile must share weights")
         for w, count in wd.items():
-            assert mp[w] == count * self.kernel_size, f"kernel law fails at weight {w}"
+            _check(mp[w] == count * self.kernel_size, f"kernel law fails at weight {w}")
         cap = 2 * self.length if self.alphabet is Alphabet.RING else self.length
-        assert all(0 <= w <= cap for w in wd), "weight outside the possible range"
-        if self.alphabet is Alphabet.RING:
-            assert any(cw.s_word == 0 and cw.t_word == 0 for cw in self.codewords)
-        else:
-            assert 0 in self.codewords
+        _check(all(0 <= w <= cap for w in wd), "weight outside the possible range")
+        zero = RingVector(self.length) if self.alphabet is Alphabet.RING else 0
+        _check(zero in self.codewords, "zero codeword missing")
+        if self.alphabet is Alphabet.BINARY:
+            self.basis  # raises unless the table is linear
+
+
+def _check(holds: bool, message: str) -> None:
+    """An invariant that must survive ``python -O``, unlike ``assert``."""
+    if not holds:
+        raise AssertionError(message)
 
 
 def _sample_messages(m: int, count: int, seed: int) -> list[RingVector]:
@@ -396,10 +413,11 @@ def enumerate_code(
 
     The default path walks the 2^m a-parts only, as the XOR span of the
     generator rows, crediting each with the 2^m free b-parts, after
-    spot-checking (via :func:`encode`) that raw ring evaluation matches
-    the span on sampled messages; m <= 2 is spot-checked exhaustively.
+    spot-checking that raw ring evaluation (:func:`encode`) matches the
+    span on sampled messages; m <= 2 is spot-checked exhaustively.  That
+    check is the one place where the rows meet ring arithmetic.
     collapse_beta=False forces the plain 4^m message walk with full ring
-    arithmetic everywhere.
+    arithmetic everywhere and reads no row.
     """
     m, n = ds.m, len(ds)
     budget = DEFAULT_WORK_BUDGET if work_budget is None else work_budget
@@ -429,18 +447,20 @@ def enumerate_code(
 
         if agreement_samples > 0:
             for v in _sample_messages(m, agreement_samples, seed=m * 0x9E3779B1 ^ n):
-                cw = encode(v, ds)  # raises if raw and reduced forms disagree
-                assert words[v.s_word] == cw.t_word, "row span disagrees with encode"
+                _check(
+                    encode(v, ds) == RingVector(n, 0, words[v.s_word]),
+                    "ring-arithmetic evaluation disagrees with the reduced form b*(alpha.t1)",
+                )
 
         beta_mult = 1 << m
         codeword_hits.update(words)
         for word, hits in codeword_hits.items():
             profile[2 * word.bit_count()] += hits * beta_mult
     per_codeword = set(codeword_hits.values())
-    assert len(per_codeword) == 1, "codeword preimage counts must be uniform"
+    _check(len(per_codeword) == 1, "codeword preimage counts must be uniform")
     kernel_size = per_codeword.pop() * beta_mult
 
-    assert sum(profile.values()) == messages
+    _check(sum(profile.values()) == messages, "message profile must sum to 4^m")
     codewords = tuple(RingVector(n, 0, word) for word in sorted(codeword_hits))
     distribution = dict(Counter(2 * word.bit_count() for word in codeword_hits))
     table = CodeTable(
@@ -460,8 +480,9 @@ def gray_image(table: CodeTable) -> CodeTable:
 
     Each length-n ring word maps to 2n bits in block layout (t-part, then
     (s+t)-part).  Hamming weight must equal the Lee weight coordinate for
-    coordinate (the map is an isometry), and the image must be closed
-    under addition; either failure aborts, since it signals a bug.
+    coordinate (the map is an isometry), and the image must be linear
+    (its :meth:`CodeTable.validate`); either failure aborts, since it
+    signals a bug.
     """
     if table.alphabet is not Alphabet.RING:
         raise ValueError("gray_image expects a ring-alphabet code")
@@ -472,11 +493,6 @@ def gray_image(table: CodeTable) -> CodeTable:
         if bits.bit_count() != cw.lee_weight():
             raise RuntimeError("Gray image weight differs from Lee weight")
         words.append(bits)
-    if len(set(words)) != len(words):
-        raise RuntimeError("Gray map collapsed distinct codewords")
-    rank = len(gf2_basis(words))
-    if 1 << rank != len(words):
-        raise RuntimeError("Gray image is not closed under addition")
     distribution = dict(Counter(w.bit_count() for w in words))
     image = CodeTable(
         alphabet=Alphabet.BINARY,
@@ -511,16 +527,10 @@ class CodeParams:
 
 
 def binary_params(table: CodeTable) -> CodeParams:
-    """[n, k, d] of a binary table; k must come out an integer."""
+    """[n, k, d] of a binary table, k its rank."""
     if table.alphabet is not Alphabet.BINARY:
         raise ValueError("binary_params expects a binary-alphabet code")
-    count = len(table.codewords)
-    k = count.bit_length() - 1
-    if 1 << k != count:
-        raise ValueError(
-            f"codeword count {count} is not a power of two (linearity violation)"
-        )
-    return CodeParams(table.length, k, table.min_nonzero_weight())
+    return CodeParams(table.length, len(table.basis), table.min_nonzero_weight())
 
 
 def weight_enumerator(table: CodeTable) -> str:

@@ -2,12 +2,14 @@
 
 import dataclasses
 import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from icodes import analysis
+from icodes import analysis, construction
+from icodes.geometry import gf2_basis
 from icodes.analysis import ALL_ANALYSES
 from icodes.cli import main
 from icodes import (
@@ -447,6 +449,42 @@ def test_analyze_degenerate_empty_set():
     assert report.length is None
     assert report.prediction_match is True
     assert report.prediction_diffs == ()
+
+
+def test_prediction_match_is_none_unless_verify_was_requested():
+    for s in (spec(Variant.T2, 3, {1, 2, 3}, {1}), spec(Variant.T2, 3, {1, 2}, {3})):
+        assert analyze(s, analyses=["weights"]).prediction_match is None
+        assert analyze(s, analyses=["weights", "verify"]).prediction_match is True
+    out = io.StringIO()
+    argv = "analyze --variant T2 --m 3 --M 1,2,3 --N 1 --analyses weights --format json"
+    assert main(argv.split(), out=out) == 0
+    assert json.loads(out.getvalue())["reports"][0]["prediction_match"] is None
+
+
+def test_analyze_eliminates_each_image_once(monkeypatch):
+    calls = []
+
+    def counting_basis(words):
+        words = list(words)
+        calls.append(len(words))
+        return gf2_basis(words)
+
+    monkeypatch.setattr(construction, "gf2_basis", counting_basis)
+    monkeypatch.setattr(analysis, "gf2_basis", counting_basis)
+    # a 1-weight T1 image (simplex check included) and a two-weight T2 one
+    for s in (spec(Variant.T1, 4, {1, 2}, {3}), spec(Variant.T2, 5, {1, 2, 3}, {4})):
+        calls.clear()
+        report = analyze(s)
+        assert report.prediction_diffs == ()
+        assert calls.count(report.code_size) == 1, calls
+
+
+def test_certificates_reject_non_linear_tables():
+    bogus = binary_table(3, [0, 3, 5])  # one weight, but not closed under addition
+    certificates = (binary_params, is_self_orthogonal, is_minimal_exhaustive, simplex_structure)
+    for certificate in certificates:
+        with pytest.raises(ValueError, match="linearity"):
+            certificate(bogus)
 
 
 def test_analyze_respects_requested_analyses():

@@ -6,7 +6,11 @@ the library's arithmetic, against which small enumerations are compared.
 """
 
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -383,14 +387,85 @@ def test_collapsed_and_plain_walks_agree():
 def test_tampered_generator_rows_fail_the_ring_check():
     ds = build_defining_set(spec(Variant.T2, 3, {1}, {2}))
     v = RingVector(3, 0b010, 0)
-    assert encode(v, ds).t_word == ds.rows[1]
+    codeword = encode(v, ds)
+    assert codeword.t_word == ds.rows[1]
     rows = list(ds.rows)
     rows[1] ^= 1 << 3
     object.__setattr__(ds, "rows", tuple(rows))
+    assert encode(v, ds) == codeword  # encode reads no row
     with pytest.raises(AssertionError, match="ring-arithmetic"):
-        encode(v, ds)
-    with pytest.raises(AssertionError):
         enumerate_code(ds, agreement_samples=64)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        spec(Variant.T1, 3, {1, 2}, {3}),
+        spec(Variant.T2, 3, {1}, {2}),
+        spec(Variant.T4, 2, {1}, {2}),
+        spec(Variant.T5, 2, {1}, {1, 2}),
+    ],
+    ids=lambda s: f"{s.variant.value}-m{s.m}",
+)
+def test_plain_walk_reads_no_generator_row(s):
+    fast = enumerate_code(build_defining_set(s))
+    ds = build_defining_set(s)
+    object.__setattr__(ds, "rows", None)
+    slow = enumerate_code(ds, collapse_beta=False)
+    assert slow == fast
+    assert slow.weight_distribution == fast.weight_distribution
+    assert slow.message_profile == fast.message_profile
+
+
+def binary_table(codewords, distribution, kernel_size=1):
+    return CodeTable(
+        alphabet=Alphabet.BINARY,
+        length=3,
+        codewords=codewords,
+        kernel_size=kernel_size,
+        weight_distribution=distribution,
+        message_profile=dict(distribution),
+    )
+
+
+@pytest.mark.parametrize(
+    "table, error, message",
+    [
+        pytest.param(
+            binary_table((0, 5, 5), {0: 1, 2: 2}), AssertionError, "duplicate codewords",
+            id="duplicate-words",
+        ),
+        pytest.param(
+            binary_table((3, 5, 6), {2: 3}), AssertionError, "zero codeword", id="missing-zero"
+        ),
+        pytest.param(
+            binary_table((0, 5), {0: 1, 2: 1}, kernel_size=2), AssertionError, "kernel law",
+            id="wrong-kernel-law",
+        ),
+        pytest.param(
+            binary_table((0, 3, 5), {0: 1, 2: 2}), ValueError, "linearity",
+            id="non-linear-binary-table",
+        ),
+    ],
+)
+def test_validate_rejects_each_broken_law(table, error, message):
+    with pytest.raises(error, match=message):
+        table.validate()
+
+
+def test_validate_survives_optimized_mode():
+    # python -O strips assert statements; the laws must still raise.
+    script = (
+        "from icodes.construction import Alphabet, CodeTable\n"
+        "CodeTable(Alphabet.BINARY, 3, (0, 5, 5), 1, {0: 1, 2: 2}, {0: 1, 2: 2}).validate()\n"
+    )
+    src = pathlib.Path(construction.__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 1
+    assert "AssertionError: duplicate codewords" in result.stderr
 
 
 def test_reference_distributions():
@@ -486,7 +561,7 @@ def test_gray_image_closure_check_catches_non_linear_input():
         weight_distribution={0: 1, 1: 1, 2: 1},
         message_profile={0: 1, 1: 1, 2: 1},
     )
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="linearity"):
         gray_image(bogus)
 
 
