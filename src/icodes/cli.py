@@ -7,7 +7,8 @@ brute force against the closed forms, and ``tables`` dumps the ring's
 addition and multiplication tables.
 
 Exit codes: 0 success / all match, 1 a finding contradicts its closed-form
-expectation, 2 usage or degenerate-parameter error, 3 work budget exceeded.
+expectation, 2 usage or degenerate-parameter error, 3 work budget exceeded,
+141 (128 + SIGPIPE) the reader closed stdout before the output ended.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import __version__
 from .analysis import (
@@ -52,6 +53,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 VARIANTS = (Variant.T1, Variant.T2, Variant.T3, Variant.T4, Variant.T5)
 
@@ -235,8 +237,37 @@ def _effective_budget(flag_value: int | None) -> int | None:
     return None
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def _json(value, depth: int) -> str:
+    """``value`` as indented JSON, its inner lines shifted ``depth`` levels
+    (JSON strings hold no raw newline, so the shift is exact)."""
+    return _ENCODER.encode(value).replace("\n", "\n" + "  " * depth)
+
+
 def _emit(doc: dict, out) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True), file=out)
+    """Write ``doc`` to ``out`` as JSON, one top-level key at a time.
+
+    An iterator value (a codeword dump) is written one element at a time
+    and never held whole.  The bytes are exactly
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` with each
+    iterator value replaced by the list of its elements.
+    """
+    sep = "{"
+    for key in sorted(doc):
+        value = doc[key]
+        out.write(f"{sep}\n  {_json(key, 1)}: ")
+        if isinstance(value, Iterator):
+            item_sep = "["
+            for item in value:
+                out.write(f"{item_sep}\n    {_json(item, 2)}")
+                item_sep = ","
+            out.write("[]" if item_sep == "[" else "\n  ]")
+        else:
+            out.write(_json(value, 1))
+        sep = ","
+    out.write("{}\n" if sep == "{" else "\n}\n")
 
 
 def _spec_from_args(args: argparse.Namespace) -> DefiningSetSpec:
@@ -296,11 +327,11 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
             "degenerate": params.degenerate,
         }
         if args.dump_ring_codewords:
-            doc["ring_codewords"] = [str(cw) for cw in table.codewords]
+            doc["ring_codewords"] = map(str, table.codewords)
         if args.dump_gray_codewords:
-            doc["gray_codewords"] = [
+            doc["gray_codewords"] = (
                 bit_string(w, image.length) for w in image.codewords
-            ]
+            )
         _emit(doc, out)
     else:
         subsets = f"M={{{','.join(map(str, sorted(spec.M)))}}} N={{{','.join(map(str, sorted(spec.N)))}}}"
@@ -595,5 +626,15 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 
-def entrypoint() -> None:  # pragma: no cover - console-script shim
-    raise SystemExit(main())
+def entrypoint() -> None:
+    """Run :func:`main` on the real stdout; a reader that closes the pipe
+    early (``| head``) ends the run quietly with ``EXIT_BROKEN_PIPE``."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As the ``signal`` docs advise: the interpreter's final flush of
+        # stdout would fail again, so point stdout at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_BROKEN_PIPE
+    raise SystemExit(status)

@@ -356,11 +356,13 @@ class CodeTable:
     def basis(self) -> tuple[int, ...]:
         """A GF(2) basis of a binary table, whose codewords must be its span.
 
-        The one linearity check: distinct words (as :meth:`validate`
-        requires first) number 2^rank only when they are the whole span.
+        The one linearity check: distinct words number 2^rank only when
+        they are the whole span, so repeated words are rejected first.
         """
         if self.alphabet is not Alphabet.BINARY:
             raise ValueError("basis expects a binary-alphabet code")
+        if len(set(self.codewords)) != len(self.codewords):
+            raise ValueError("repeated codewords (linearity violation)")
         basis = gf2_basis(self.codewords)
         if 1 << len(basis) != len(self.codewords):
             raise ValueError(

@@ -487,6 +487,15 @@ def test_certificates_reject_non_linear_tables():
             certificate(bogus)
 
 
+def test_certificates_reject_repeated_codewords():
+    # 2^rank words, all nonzero ones of weight 1, but 1 listed twice and 3 missing
+    multiset = binary_table(2, [0, 1, 1, 2])
+    certificates = (binary_params, is_self_orthogonal, is_minimal_exhaustive, simplex_structure)
+    for certificate in certificates:
+        with pytest.raises(ValueError, match="repeated codewords"):
+            certificate(multiset)
+
+
 def test_analyze_respects_requested_analyses():
     report = analyze(spec(Variant.T2, 4, {1, 2}, {3}), analyses=["weights"])
     assert report.params is None and report.minimal is None

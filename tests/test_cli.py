@@ -2,7 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -16,6 +21,27 @@ def run(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+@pytest.fixture
+def streamed_keys(monkeypatch):
+    """Check every ``_emit`` call against ``json.dumps`` of the same document
+    with its iterators materialized; collect the streamed keys per call."""
+    calls = []
+    emit = cli._emit
+
+    def checked_emit(doc, out):
+        streamed = sorted(key for key, value in doc.items() if isinstance(value, Iterator))
+        lists = {key: list(doc[key]) for key in streamed}
+        materialized = {**doc, **lists}
+        buffer = io.StringIO()
+        emit({**doc, **{key: iter(items) for key, items in lists.items()}}, buffer)
+        assert buffer.getvalue() == json.dumps(materialized, indent=2, sort_keys=True) + "\n"
+        out.write(buffer.getvalue())
+        calls.append(streamed)
+
+    monkeypatch.setattr(cli, "_emit", checked_emit)
+    return calls
 
 
 # --- flag parsing -------------------------------------------------------------
@@ -74,9 +100,14 @@ def test_construct_degenerate_zero_code_still_succeeds():
     assert "degenerate" in text
 
 
-def test_construct_empty_defining_set_is_a_parameter_error():
-    code, _ = run(["construct", "--variant", "T5", "--m", "2", "--M", "1,2", "--N", "1,2"])
+def test_construct_empty_defining_set_is_a_parameter_error(streamed_keys):
+    argv = ["construct", "--variant", "T5", "--m", "2", "--M", "1,2", "--N", "1,2"]
+    code, _ = run(argv)
     assert code == 2
+    code, text = run([*argv, "--format", "json"])
+    assert code == 2
+    assert json.loads(text)["degenerate"] is True
+    assert streamed_keys == [[]]
 
 
 def test_construct_invalid_subset_is_usage_error():
@@ -91,21 +122,90 @@ def test_construct_budget_exceeded():
     assert code == 3
 
 
-def test_construct_json_and_dumps():
-    code, text = run(
-        [
-            "construct", "--variant", "T1", "--m", "2", "--M", "1", "--N", "2",
-            "--format", "json", "--dump-ring-codewords", "--dump-gray-codewords",
-        ]
-    )
-    assert code == 0
-    doc = json.loads(text)
-    assert doc["schema_version"] == 1
-    assert doc["length"] == 4
-    assert doc["lee_enumerator"] == "X^8 + X^4Y^4"
-    assert set(doc["ring_codewords"]) == {"0000", "00bb"}
-    assert len(doc["gray_codewords"]) == 2
-    assert all(set(w) <= {"0", "1"} for w in doc["gray_codewords"])
+DUMPS = ("--dump-ring-codewords", "--dump-gray-codewords")
+
+
+def test_construct_json_and_dumps(streamed_keys):
+    for dumps in (DUMPS, DUMPS[:1], DUMPS[1:], ()):
+        streamed_keys.clear()
+        code, text = run(
+            [
+                "construct", "--variant", "T1", "--m", "2", "--M", "1", "--N", "2",
+                "--format", "json", *dumps,
+            ]
+        )
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["schema_version"] == 1
+        assert doc["length"] == 4
+        assert doc["lee_enumerator"] == "X^8 + X^4Y^4"
+        keys = [flag[len("--dump-"):].replace("-", "_") for flag in dumps]
+        assert streamed_keys == [sorted(keys)]
+        if "ring_codewords" in keys:
+            assert set(doc["ring_codewords"]) == {"0000", "00bb"}
+        if "gray_codewords" in keys:
+            assert len(doc["gray_codewords"]) == 2
+            assert all(set(w) <= {"0", "1"} for w in doc["gray_codewords"])
+
+
+def test_emit_streams_iterators_byte_identically():
+    doc = {
+        "z": iter([{"k": [1, {"nested": "line\nbreak"}]}, "s", []]),
+        "a": iter([]),
+        "m": {"inner": ["x", {}], "empty": []},
+    }
+    expected = {"z": [{"k": [1, {"nested": "line\nbreak"}]}, "s", []], "a": [], "m": doc["m"]}
+    out = io.StringIO()
+    cli._emit(doc, out)
+    assert out.getvalue() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    cli._emit({}, out)
+    assert out.getvalue() == "{}\n"
+
+
+class CountingSink:
+    """A text stream that counts what it is given and keeps none of it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_dump_memory_stays_below_its_output(fmt):
+    argv = [
+        "construct", "--variant", "T2", "--m", "9", "--M", "1,2,3,4,7,8,9", "--N", "5,6",
+        "--format", fmt, *DUMPS,
+    ]
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        assert main(argv, out=sink) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 2_000_000
+    assert peak < sink.chars / 2, (peak, sink.chars)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_pipe_ends_quietly(fmt):
+    src = Path(cli.__file__).resolve().parents[1]
+    argv = [
+        sys.executable, "-m", "icodes", "construct", "--variant", "T2", "--m", "8",
+        "--M", "1,2", "--N", "3,4", "--format", fmt, "--dump-gray-codewords",
+    ]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()  # the output is about 0.5 MB, far beyond any pipe buffer
+        stderr = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    assert stderr == b""
+    assert status == cli.EXIT_BROKEN_PIPE == 141
 
 
 def test_env_budget_override(monkeypatch):
@@ -129,7 +229,7 @@ def test_analyze_reference_t2():
     assert "all expected properties hold" in text
 
 
-def test_analyze_json_schema_and_determinism():
+def test_analyze_json_schema_and_determinism(streamed_keys):
     argv = ["analyze", "--variant", "T5", "--m", "4", "--M", "2,3,4", "--N", "1,2,4", "--format", "json"]
     code1, text1 = run(argv)
     code2, text2 = run(argv)
@@ -141,6 +241,7 @@ def test_analyze_json_schema_and_determinism():
     assert report["params"] == [384, 4, 192]
     assert report["minimal"] == "yes-exhaustive"
     assert doc["all_expected"] is True
+    assert streamed_keys == [[], []]
 
 
 def test_analyze_subset_of_analyses():
@@ -157,7 +258,7 @@ def test_analyze_requires_parameters():
     assert code == 2
 
 
-def test_analyze_config_batch(tmp_path: Path):
+def test_analyze_config_batch(tmp_path: Path, streamed_keys):
     config = {
         "format": "structured",
         "jobs": [
@@ -175,6 +276,7 @@ def test_analyze_config_batch(tmp_path: Path):
     assert doc["reports"][1]["params"] == [64, 3, 32]
     assert doc["reports"][1]["simplex"]["kind"] == "replicated-simplex"
     assert doc["reports"][1]["minimal"] is None
+    assert streamed_keys == [[]]
 
 
 def test_analyze_config_validation(tmp_path: Path):
@@ -278,13 +380,14 @@ def test_verify_sampled_sweep():
     assert "10/10 match" in text
 
 
-def test_verify_json_document():
+def test_verify_json_document(streamed_keys):
     code, text = run(["verify", "--m", "2", "--variants", "T1", "--format", "json"])
     assert code == 0
     doc = json.loads(text)
     assert doc["summary"]["pairs"] == 16
     assert doc["summary"]["mismatched"] == 0
     assert doc["mismatches"] == []
+    assert streamed_keys == [[]]
 
 
 @pytest.mark.parametrize("sample", ["0", "-4"])
@@ -297,10 +400,15 @@ def test_verify_empty_variants_usage_error():
     assert code == 2
 
 
-def test_verify_budget_exceeded_flushes_partial_results():
-    code, text = run(["verify", "--m", "12", "--variants", "T4", "--budget", "1000"])
+def test_verify_budget_exceeded_flushes_partial_results(streamed_keys):
+    argv = ["verify", "--m", "12", "--variants", "T4", "--budget", "1000"]
+    code, text = run(argv)
     assert code == 3
     assert "stopped early" in text
+    code, text = run([*argv, "--format", "json"])
+    assert code == 3
+    assert "budget_exceeded" in json.loads(text)
+    assert streamed_keys == [[]]
 
 
 # --- tables -----------------------------------------------------------------------
