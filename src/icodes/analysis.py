@@ -1,24 +1,31 @@
 """Certification of code properties against closed-form predictions.
 
 Provides the predicted Lee weight distributions for the five defining-set
-variants, the individual certificates (exact minimality by one rank test
-per codeword, the minimum/maximum weight-ratio sufficient condition for
+variants, the individual certificates (exact minimality on the points of
+the code, the minimum/maximum weight-ratio sufficient condition for
 minimality, exact self-orthogonality on a spanning basis, the
 divisible-by-4 sufficient condition, Griesmer sums with an optimality
 verdict, the closed-form optimality predictor for T2 parameters, and the
 replicated-simplex structure check for 1-weight codes), and ``analyze``,
 the one per-code entry point that builds, enumerates, certifies and compares
-each closed-form fact once.  The certificates read the image's cached
-:attr:`~icodes.construction.CodeTable.basis` rather than eliminating it
-again, and ``analyze`` judges each one against its closed-form
-expectation where it computes it.  ``verify_against_prediction`` is
-``analyze``'s weight-profile comparison: ``analyze`` restricted to the
-``verify`` analysis, projected to a ``PredictionMatch``.
+each closed-form fact once.  The certificates read no codeword list:
+they work on the image's cached
+:attr:`~icodes.construction.CodeTable.basis`, which for an enumerated
+code is the elimination of its m generator rows.  Minimality is decided
+on the distinct nonzero columns of that basis, the points of the code,
+by the cutting-blocking-set criterion, and only a witness pair is ever
+built as words; self-orthogonality pairs the basis words, and the
+simplex check counts the columns.  ``analyze`` judges each certificate
+against its closed-form expectation where it computes it.
+``verify_against_prediction`` is ``analyze``'s weight-profile
+comparison: ``analyze`` restricted to the ``verify`` analysis, projected
+to a ``PredictionMatch``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -39,7 +46,7 @@ from .construction import (
     weight_enumerator,
 )
 from .errors import EmptyDefiningSetError
-from .geometry import bit_string, gf2_basis
+from .geometry import bit_string
 
 #: Everything cmd_analyze knows how to run.
 ALL_ANALYSES = (
@@ -241,18 +248,92 @@ class MinimalityFinding:
     witness: tuple[int, int] | None  # (covered, covering) codeword pair
 
 
+#: Fixes the order in which the minimality test scans the points of a code.
+_POINT_ORDER_SEED = 0x1C0DE5
+
+
 def is_minimal_exhaustive(table: CodeTable) -> MinimalityFinding:
-    """No nonzero codeword's support may contain another's.  Nonzero u is
-    covered iff some nonzero codeword avoids supp(u), iff masking a basis
-    with u drops its rank: one GF(2) rank test per codeword.  The witness
-    is the first such u and the first v covering it, in table order."""
+    """No nonzero codeword's support may contain another's.
+
+    Decided on the points of the code, the distinct nonzero columns S of
+    its basis (cutting blocking sets: Alfarano, Borello and Neri, Adv.
+    Math. Commun. 16 (2022); Tang, Qiu, Liao and Zhou, IEEE Trans. Inf.
+    Theory 67(6) (2021)).  With the basis in reduced echelon form, x in
+    F_2^k selects the x-th smallest codeword u_x, whose support is the
+    coordinates whose column p has odd x . p.  u_x is covered iff some
+    nonzero codeword avoids its support, iff the points off the
+    hyperplane x^perp fail to span F_2^k: one early-exit rank test per x,
+    over S in a fixed shuffled order.  The witness is the smallest
+    covered word and the smallest other word covering it, in increasing
+    order (the table order of every table built here), and only those two
+    words are built.
+    """
     _require_binary(table)
-    basis = table.basis
-    for u in table.codewords:
-        if u and len(gf2_basis(row & u for row in basis)) < len(basis):
-            v = next(v for v in table.codewords if v != u and u & v == u)
-            return MinimalityFinding(False, (u, v))
+    rows = _reduced_echelon(table.basis)
+    k = len(rows)
+    points = sorted(_column_counts(rows, table.length))
+    random.Random(_POINT_ORDER_SEED).shuffle(points)
+    for x in range(1, 1 << k):
+        if not _spans_off_hyperplane(points, x, k):
+            off = [p for p in points if (p & x).bit_count() & 1]
+            z = next(
+                z for z in range(1, 1 << k)
+                if z != x and all((p & z).bit_count() & 1 for p in off)
+            )
+            return MinimalityFinding(False, (_combine(rows, x), _combine(rows, z)))
     return MinimalityFinding(True, None)
+
+
+def _reduced_echelon(basis: tuple[int, ...]) -> list[int]:
+    """The basis in reduced echelon form, by increasing leading bit.
+
+    Each leading bit is then set in its own row only, so the XOR of the
+    rows that x selects grows with x: x-th word in increasing order.
+    """
+    rows = sorted(basis)  # distinct leading bits, so this orders by them
+    for i, row in enumerate(rows):
+        lead = 1 << (row.bit_length() - 1)
+        for j in range(i + 1, len(rows)):
+            if rows[j] & lead:
+                rows[j] ^= row
+    return rows
+
+
+def _column_counts(rows: list[int] | tuple[int, ...], length: int) -> Counter[int]:
+    """How often each nonzero column of the matrix with these rows occurs;
+    a column is a word whose bit i is its entry in row i."""
+    texts = [format(row, f"0{length}b") for row in rows]
+    counts = Counter(map("".join, zip(*texts)))
+    return Counter({int(column[::-1], 2): n for column, n in counts.items() if "1" in column})
+
+
+def _spans_off_hyperplane(points: list[int], x: int, k: int) -> bool:
+    """Whether the points p with odd x . p span F_2^k: pivots indexed by
+    leading bit, stopping as soon as k are found."""
+    pivots = [0] * k
+    rank = 0
+    for p in points:
+        if (p & x).bit_count() & 1:
+            while p:
+                lead = p.bit_length() - 1
+                if pivots[lead]:
+                    p ^= pivots[lead]
+                else:
+                    pivots[lead] = p
+                    rank += 1
+                    if rank == k:
+                        return True
+                    break
+    return False
+
+
+def _combine(rows: list[int], x: int) -> int:
+    """The XOR of the rows that x selects."""
+    word = 0
+    for i, row in enumerate(rows):
+        if x >> i & 1:
+            word ^= row
+    return word
 
 
 @dataclass(frozen=True)
@@ -367,27 +448,19 @@ class SimplexFinding:
 def simplex_structure(table: CodeTable) -> SimplexFinding:
     """Decompose a 1-weight binary code as a replicated simplex code.
 
-    Drops identically-zero coordinates, takes a basis as the generator
-    matrix, and demands that the remaining columns form r copies of every
-    nonzero vector of F_2^k, with the common weight equal to r * 2^(k-1).
+    Drops identically-zero coordinates, takes the table's basis as the
+    generator matrix, and demands that the remaining columns form r
+    copies of every nonzero vector of F_2^k, with the common weight equal
+    to r * 2^(k-1).
     """
     _require_binary(table)
     nonzero_weights = [w for w in table.weight_distribution if w]
     if len(nonzero_weights) != 1:
         raise ValueError("not a 1-weight code")
     common = nonzero_weights[0]
-    basis = table.basis
-    k = len(basis)
-    columns: Counter[int] = Counter()
-    zero_columns = 0
-    for j in range(table.length):
-        col = 0
-        for i, row in enumerate(basis):
-            col |= (row >> j & 1) << i
-        if col:
-            columns[col] += 1
-        else:
-            zero_columns += 1
+    k = len(table.basis)
+    columns = _column_counts(table.basis, table.length)
+    zero_columns = table.length - sum(columns.values())
     replication, remainder = divmod(table.length - zero_columns, (1 << k) - 1)
     ok = (
         remainder == 0
@@ -538,7 +611,7 @@ def analyze(
     table = enumerate_code(ds, work_budget=work_budget)
     fields: dict = dict(
         length=len(ds),
-        code_size=len(table.codewords),
+        code_size=len(table),
         kernel_size=table.kernel_size,
         lee_weight_distribution=dict(table.weight_distribution),
         message_profile=dict(table.message_profile),

@@ -318,7 +318,7 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
             "M": sorted(spec.M),
             "N": sorted(spec.N),
             "length": len(ds),
-            "code_size": len(table.codewords),
+            "code_size": len(table),
             "kernel_size": table.kernel_size,
             "lee_weight_distribution": _str_keys(table.weight_distribution),
             "message_profile": _str_keys(table.message_profile),
@@ -338,7 +338,7 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
         print(f"variant {spec.variant.value}  m={spec.m}  {subsets}", file=out)
         print(f"defining set length: {len(ds)}", file=out)
         print(
-            f"code size: {len(table.codewords)}  kernel size: {table.kernel_size}",
+            f"code size: {len(table)}  kernel size: {table.kernel_size}",
             file=out,
         )
         print(f"lee enumerator: {weight_enumerator(table)}", file=out)

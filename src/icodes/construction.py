@@ -9,15 +9,24 @@ two disjoint ones; GENERIC has one, of its given lists.  Parts have
 closed-form sizes, so lengths, budgets and empty-set errors build no
 members.  The code is the image of the evaluation map
 v -> (v . d)_{d in D} over all messages v in I^m; because b kills every
-product, a codeword depends only on the a-part of the message: the code
-is b times the row space of one m x n binary generator matrix
-(:attr:`DefiningSet.rows`).  :func:`encode` is plain ring arithmetic
-and reads no row; the rows meet it in one place, the sampled agreement
-check of :func:`enumerate_code`'s fast walk, so the 4^m walk stays an
-oracle independent of the rows.  Each law of an enumerated table is
-checked by :meth:`CodeTable.validate` with explicit raises that survive
-``python -O``; a binary table's linearity is checked once, by its
-cached :attr:`CodeTable.basis`, which the certificates reuse.
+product, a codeword depends only on the a-part alpha of the message: the
+code is b times the row space of one m x n binary generator matrix
+(:attr:`DefiningSet.rows`), whose columns are the t1 parts.  So the code
+is fixed by the column multiplicity mu(x) = #{d : t1(d) = x}
+(:attr:`DefiningSet.mu`), and the Lee weight of alpha's codeword is the
+character sum n - mu_hat(alpha): :func:`enumerate_code` takes every
+weight from one Walsh-Hadamard transform of mu, and a table keeps its m
+rows instead of its 2^m codewords, which are built (sorted) only when
+something reads :attr:`CodeTable.codewords`.  :func:`encode` is plain
+ring arithmetic and reads no row; the rows meet it in one place, the
+sampled agreement check of the fast walk, which also checks each
+sampled weight against the transform, so the 4^m walk stays an oracle
+independent of the rows.  Each law of a table is checked with explicit
+raises that survive ``python -O``: the laws of the weight data by
+:meth:`CodeTable.validate`, and the laws that read codewords wherever
+codewords exist.  A table's GF(2) basis is computed once, from its rows
+or, for a table given as a word list, from the words (its one linearity
+check), and cached as :attr:`CodeTable.basis` for the certificates.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -37,6 +46,7 @@ from .geometry import (
     bit_string,
     complex_from_generator,
     gf2_basis,
+    walsh_hadamard,
 )
 from .ring import ELEMENTS, SYMBOLS, ZERO, RingElement
 
@@ -199,6 +209,18 @@ class DefiningSet:
             for i in range(self.m)
         )
 
+    @cached_property
+    def mu(self) -> list[int]:
+        """The column multiplicity: mu[x] pairs have t1 with bit word x.
+
+        Counted from the pairs, so GENERIC duplicates and zero members
+        count too; a list over all 2^m words, summing to n.
+        """
+        mu = [0] * (1 << self.m)
+        for t1, _t2 in self.pairs:
+            mu[t1.bits] += 1
+        return mu
+
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -320,25 +342,62 @@ def encode(v: RingVector, ds: DefiningSet) -> RingVector:
     return RingVector.from_elements([v.dot(ds.element(i)) for i in range(len(ds))])
 
 
-@dataclass(frozen=True)
 class CodeTable:
     """An enumerated code with its weight bookkeeping.
 
-    codewords holds RingVector values for the ring alphabet and plain bit
-    words (ints) for the binary alphabet.  weight_distribution counts
-    distinct codewords per weight; message_profile counts messages, so
-    its values are the distribution's times the kernel size.
+    weight_distribution counts distinct codewords per weight;
+    message_profile counts messages, so its values are the distribution's
+    times the kernel size.  A table is given its codewords (RingVector
+    values for the ring alphabet, plain bit words for the binary one), or
+    instead generator rows whose XOR span they are (for a ring table, the
+    t-parts of that span), or the ring table it is the Gray image of.
+    Codewords that were not given are built, in increasing order, on the
+    first read of :attr:`codewords`, and the laws that read codewords are
+    checked then.  Tables compare by alphabet, length, codewords and
+    kernel size.
     """
 
-    alphabet: Alphabet
-    length: int
-    codewords: tuple
-    kernel_size: int
-    weight_distribution: dict[int, int] = field(compare=False)
-    message_profile: dict[int, int] = field(compare=False)
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        length: int,
+        codewords: Sequence | None,
+        kernel_size: int,
+        weight_distribution: dict[int, int],
+        message_profile: dict[int, int],
+        *,
+        rows: tuple[int, ...] | None = None,
+        preimage: CodeTable | None = None,
+    ) -> None:
+        if codewords is None and rows is None and preimage is None:
+            raise ValueError("a code table needs its codewords, generator rows or preimage")
+        self.alphabet = alphabet
+        self.length = length
+        self.kernel_size = kernel_size
+        self.weight_distribution = weight_distribution
+        self.message_profile = message_profile
+        self.rows = rows
+        self.preimage = preimage
+        if codewords is not None:
+            self.__dict__["codewords"] = tuple(codewords)  # fills the cache below
 
     def __len__(self) -> int:
-        return len(self.codewords)
+        return sum(self.weight_distribution.values())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CodeTable):
+            return NotImplemented
+        return (self.alphabet, self.length, self.kernel_size, self.codewords) == (
+            other.alphabet, other.length, other.kernel_size, other.codewords
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"CodeTable(alphabet={self.alphabet}, length={self.length}, size={len(self)}, "
+            f"kernel_size={self.kernel_size}, weight_distribution={self.weight_distribution})"
+        )
 
     @property
     def num_weights(self) -> int:
@@ -353,12 +412,41 @@ class CodeTable:
         return max(self.weight_distribution)
 
     @cached_property
-    def basis(self) -> tuple[int, ...]:
-        """A GF(2) basis of a binary table, whose codewords must be its span.
+    def codewords(self) -> tuple:
+        """Every codeword, in increasing order, built on first read.
 
-        The one linearity check: distinct words number 2^rank only when
-        they are the whole span, so repeated words are rejected first.
+        A Gray image maps its preimage's codewords word by word, checking
+        the isometry on each; a table with rows spans its basis.  Either
+        way the words then meet the laws of :meth:`_check_codewords`.
         """
+        if self.preimage is not None:
+            words = []
+            for cw in self.preimage.codewords:
+                bits = cw.gray_bits()
+                if bits.bit_count() != cw.lee_weight():
+                    raise RuntimeError("Gray image weight differs from Lee weight")
+                words.append(bits)
+        else:
+            words = [0]
+            for row in self.basis:
+                words += [w ^ row for w in words]
+        words.sort()
+        if self.alphabet is Alphabet.RING:
+            words = [RingVector(self.length, 0, w) for w in words]
+        words = tuple(words)
+        self._check_codewords(words)
+        return words
+
+    @cached_property
+    def basis(self) -> tuple[int, ...]:
+        """A GF(2) basis: of the rows, or of a binary table's given words.
+
+        For given words this is their one linearity check: distinct words
+        number 2^rank only when they are the whole span, so repeated words
+        are rejected first.
+        """
+        if self.rows is not None:
+            return gf2_basis(self.rows)
         if self.alphabet is not Alphabet.BINARY:
             raise ValueError("basis expects a binary-alphabet code")
         if len(set(self.codewords)) != len(self.codewords):
@@ -372,20 +460,37 @@ class CodeTable:
 
     def validate(self) -> None:
         """Check the internal consistency laws; raises AssertionError, or
-        ValueError when a binary table is not linear."""
+        ValueError when a binary table is not linear.
+
+        The laws of the weight data always run; those that read codewords
+        run here if the codewords exist, and otherwise when they are
+        built.  A table with rows must have 2^rank codewords.
+        """
         wd, mp = self.weight_distribution, self.message_profile
-        _check(len(set(self.codewords)) == len(self.codewords), "duplicate codewords")
         _check(wd.get(0) == 1, "zero codeword must be the unique weight-0 word")
-        _check(sum(wd.values()) == len(self.codewords), "weight counts must sum to the code size")
         _check(set(wd) == set(mp), "distribution and message profile must share weights")
         for w, count in wd.items():
             _check(mp[w] == count * self.kernel_size, f"kernel law fails at weight {w}")
         cap = 2 * self.length if self.alphabet is Alphabet.RING else self.length
         _check(all(0 <= w <= cap for w in wd), "weight outside the possible range")
-        zero = RingVector(self.length) if self.alphabet is Alphabet.RING else 0
-        _check(zero in self.codewords, "zero codeword missing")
-        if self.alphabet is Alphabet.BINARY:
+        if "codewords" in self.__dict__:
+            self._check_codewords(self.codewords)
+        if self.rows is not None:
+            _check(1 << len(self.basis) == len(self), "code size must be 2^rank of the rows")
+        elif self.alphabet is Alphabet.BINARY:
             self.basis  # raises unless the table is linear
+
+    def _check_codewords(self, words: tuple) -> None:
+        """The laws that read codewords: distinct, with zero, and weighed
+        as the distribution says."""
+        ring = self.alphabet is Alphabet.RING
+        _check(len(set(words)) == len(words), "duplicate codewords")
+        _check((RingVector(self.length) if ring else 0) in words, "zero codeword missing")
+        weight = RingVector.lee_weight if ring else int.bit_count
+        _check(
+            Counter(map(weight, words)) == Counter(self.weight_distribution),
+            "codeword weights disagree with the weight distribution",
+        )
 
 
 def _check(holds: bool, message: str) -> None:
@@ -413,13 +518,17 @@ def enumerate_code(
 ) -> CodeTable:
     """Enumerate the code of a defining set with its Lee weight data.
 
-    The default path walks the 2^m a-parts only, as the XOR span of the
-    generator rows, crediting each with the 2^m free b-parts, after
-    spot-checking that raw ring evaluation (:func:`encode`) matches the
-    span on sampled messages; m <= 2 is spot-checked exhaustively.  That
-    check is the one place where the rows meet ring arithmetic.
+    The default path takes the Lee weight of every a-part alpha at once,
+    as n - mu_hat(alpha) from one Walsh-Hadamard transform of the column
+    multiplicity, and credits each alpha with its 2^m free b-parts; the
+    kernel is the a-parts of weight 0.  The table keeps the generator
+    rows, so it builds its codewords only when they are read.  Before
+    that, sampled messages (all of them for m <= 2) are spot-checked:
+    raw ring evaluation (:func:`encode`) must match b times the XOR of
+    the rows alpha selects, and twice that word's weight the transform.
+    That check is the one place where the rows meet ring arithmetic.
     collapse_beta=False forces the plain 4^m message walk with full ring
-    arithmetic everywhere and reads no row.
+    arithmetic everywhere, reads no row, and lists its own codewords.
     """
     m, n = ds.m, len(ds)
     budget = DEFAULT_WORK_BUDGET if work_budget is None else work_budget
@@ -428,51 +537,61 @@ def enumerate_code(
     if work > budget:
         raise BudgetExceededError(work, budget, "code enumeration")
 
-    codeword_hits: Counter[int] = Counter()
-    profile: Counter[int] = Counter()
-
     if not collapse_beta:
-        beta_mult = 1
+        codeword_hits: Counter[int] = Counter()
+        profile: Counter[int] = Counter()
         for s_word in range(1 << m):
             for t_word in range(1 << m):
                 cw = encode(RingVector(m, s_word, t_word), ds)
                 codeword_hits[cw.t_word] += 1
                 profile[cw.lee_weight()] += 1
+        per_codeword = set(codeword_hits.values())
+        _check(len(per_codeword) == 1, "codeword preimage counts must be uniform")
+        table = CodeTable(
+            Alphabet.RING,
+            n,
+            tuple(RingVector(n, 0, word) for word in sorted(codeword_hits)),
+            per_codeword.pop(),
+            dict(Counter(2 * word.bit_count() for word in codeword_hits)),
+            {w: profile[w] for w in sorted(profile)},
+        )
     else:
         if agreement_samples is None:
             agreement_samples = 16 if m <= 2 else 8
-        # The XOR span of the generator rows, so that words[alpha] is the
-        # codeword of every message with a-part alpha.
-        words = [0]
-        for row in ds.rows:
-            words += [w ^ row for w in words]
-
+        weights = list(ds.mu)
+        walsh_hadamard(weights)
+        weights = [n - total for total in weights]
+        rows = ds.rows
         if agreement_samples > 0:
             for v in _sample_messages(m, agreement_samples, seed=m * 0x9E3779B1 ^ n):
+                word = 0
+                for i, row in enumerate(rows):
+                    if v.s_word >> i & 1:
+                        word ^= row
                 _check(
-                    encode(v, ds) == RingVector(n, 0, words[v.s_word]),
+                    encode(v, ds) == RingVector(n, 0, word),
                     "ring-arithmetic evaluation disagrees with the reduced form b*(alpha.t1)",
                 )
-
-        beta_mult = 1 << m
-        codeword_hits.update(words)
-        for word, hits in codeword_hits.items():
-            profile[2 * word.bit_count()] += hits * beta_mult
-    per_codeword = set(codeword_hits.values())
-    _check(len(per_codeword) == 1, "codeword preimage counts must be uniform")
-    kernel_size = per_codeword.pop() * beta_mult
-
-    _check(sum(profile.values()) == messages, "message profile must sum to 4^m")
-    codewords = tuple(RingVector(n, 0, word) for word in sorted(codeword_hits))
-    distribution = dict(Counter(2 * word.bit_count() for word in codeword_hits))
-    table = CodeTable(
-        alphabet=Alphabet.RING,
-        length=n,
-        codewords=codewords,
-        kernel_size=kernel_size,
-        weight_distribution=distribution,
-        message_profile={w: profile[w] for w in sorted(profile)},
-    )
+                _check(
+                    2 * word.bit_count() == weights[v.s_word],
+                    "the rows disagree with the Walsh-Hadamard weight n - mu_hat(alpha)",
+                )
+        alphas = Counter(weights)
+        per_codeword = alphas[0]  # the a-parts in the kernel
+        _check(
+            all(count % per_codeword == 0 for count in alphas.values()),
+            "codeword preimage counts must be uniform",
+        )
+        table = CodeTable(
+            Alphabet.RING,
+            n,
+            None,
+            per_codeword << m,
+            {w: count // per_codeword for w, count in alphas.items()},
+            {w: alphas[w] << m for w in sorted(alphas)},
+            rows=rows,
+        )
+    _check(sum(table.message_profile.values()) == messages, "message profile must sum to 4^m")
     table.validate()
     return table
 
@@ -481,28 +600,25 @@ def gray_image(table: CodeTable) -> CodeTable:
     """Binary image of a ring code under the componentwise Gray map.
 
     Each length-n ring word maps to 2n bits in block layout (t-part, then
-    (s+t)-part).  Hamming weight must equal the Lee weight coordinate for
-    coordinate (the map is an isometry), and the image must be linear
-    (its :meth:`CodeTable.validate`); either failure aborts, since it
-    signals a bug.
+    (s+t)-part).  The map is an isometry, so the image keeps the
+    distribution; every codeword here has a zero a-part, so each row r
+    maps to r | r << n.  The image's codewords, when read, are the images
+    of the ring codewords, each checked against its Lee weight.  The
+    image must be linear (its :meth:`CodeTable.validate`); either failure
+    aborts, since it signals a bug.
     """
     if table.alphabet is not Alphabet.RING:
         raise ValueError("gray_image expects a ring-alphabet code")
     n = table.length
-    words = []
-    for cw in table.codewords:
-        bits = cw.gray_bits()
-        if bits.bit_count() != cw.lee_weight():
-            raise RuntimeError("Gray image weight differs from Lee weight")
-        words.append(bits)
-    distribution = dict(Counter(w.bit_count() for w in words))
     image = CodeTable(
-        alphabet=Alphabet.BINARY,
-        length=2 * n,
-        codewords=tuple(sorted(words)),
-        kernel_size=table.kernel_size,
-        weight_distribution=distribution,
-        message_profile=dict(table.message_profile),
+        Alphabet.BINARY,
+        2 * n,
+        None,
+        table.kernel_size,
+        dict(table.weight_distribution),
+        dict(table.message_profile),
+        rows=None if table.rows is None else tuple(r | r << n for r in table.rows),
+        preimage=table,
     )
     image.validate()
     return image

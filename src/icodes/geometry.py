@@ -3,7 +3,9 @@
 Covers supports and the cover (support containment) partial order,
 simplicial complexes given by maximal faces, their multivariate
 generating functions computed by inclusion-exclusion, the indicator of a
-support avoiding an index set, and signed character sums over point sets.
+support avoiding an index set, signed character sums over point sets, and
+the fast Walsh-Hadamard transform that takes all 2^m of those sums at
+once from a multiplicity function.
 
 Conventions fixed here and used everywhere else: coordinate i of [m] is
 stored at bit position i-1, F_2^m is enumerated in increasing integer
@@ -316,6 +318,26 @@ def character_sum(alpha: BitVector, points: Iterable[BitVector]) -> int:
     for t in points:
         total += -1 if alpha.dot(t) else 1
     return total
+
+
+def walsh_hadamard(values: list[int]) -> None:
+    """Replace a function on F_2^m by its Walsh-Hadamard transform, in place.
+
+    values[x] is the function at the vector with bit word x, and becomes
+    the sum over y of values[y] * (-1)^(x . y): the character sum at x of
+    the point multiset that values counts.  m butterfly passes of 2^(m-1)
+    integer additions each.
+    """
+    size = len(values)
+    if size & (size - 1) or not size:
+        raise ValueError(f"length must be a power of two, got {size}")
+    half = 1
+    while half < size:
+        for start in range(0, size, 2 * half):
+            for i in range(start, start + half):
+                x, y = values[i], values[i + half]
+                values[i], values[i + half] = x + y, x - y
+        half *= 2
 
 
 def gf2_basis(words: Iterable[int]) -> tuple[int, ...]:

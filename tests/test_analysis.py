@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,26 @@ def span(generators, n):
     for g in generators:
         words |= {w ^ g for w in words}
     return binary_table(n, sorted(words))
+
+
+def rows_table(generators, n) -> CodeTable:
+    """The span of the generators as a table that keeps only its rows."""
+    words = span(generators, n)
+    table = CodeTable(
+        Alphabet.BINARY, n, None, 1, words.weight_distribution, words.message_profile,
+        rows=tuple(generators),
+    )
+    table.validate()
+    return table
+
+
+def assert_same_certificates(table, other):
+    """Minimality, self-orthogonality and, on 1-weight codes, the simplex
+    check give one verdict on two tables of one code."""
+    assert is_minimal_exhaustive(table) == is_minimal_exhaustive(other)
+    assert is_self_orthogonal(table).self_orthogonal == is_self_orthogonal(other).self_orthogonal
+    if table.num_weights == 1:
+        assert simplex_structure(table) == simplex_structure(other)
 
 
 # --- predicted distributions -----------------------------------------------
@@ -234,9 +255,12 @@ def test_non_minimal_witness():
     non_minimal = 0
     for _ in range(300):
         n = rng.choice((4, 6, 9, 70))
-        table = span([rng.randrange(1 << n) for _ in range(rng.randint(1, 5))], n)
+        generators = [rng.randrange(1 << n) for _ in range(rng.randint(1, 5))]
+        table = span(generators, n)
         finding = is_minimal_exhaustive(table)
         assert (finding.minimal, finding.witness) == pairwise_minimality(table)
+        # the same span kept as its (possibly dependent) generator rows
+        assert_same_certificates(rows_table(generators, n), table)
         non_minimal += not finding.minimal
     assert 0 < non_minimal < 300
 
@@ -292,6 +316,8 @@ def test_ab_implies_exhaustive_minimality_on_sweep():
                         continue
                     finding = is_minimal_exhaustive(image)
                     assert (finding.minimal, finding.witness) == pairwise_minimality(image)
+                    # the image keeps its rows; the same code as a built word list
+                    assert_same_certificates(image, binary_table(image.length, image.codewords))
                     decided += 1
                     non_minimal += not finding.minimal
                     if ab_condition(image).holds:
@@ -465,18 +491,55 @@ def test_analyze_eliminates_each_image_once(monkeypatch):
     calls = []
 
     def counting_basis(words):
-        words = list(words)
-        calls.append(len(words))
+        words = tuple(words)
+        calls.append(words)
         return gf2_basis(words)
 
-    monkeypatch.setattr(construction, "gf2_basis", counting_basis)
-    monkeypatch.setattr(analysis, "gf2_basis", counting_basis)
-    # a 1-weight T1 image (simplex check included) and a two-weight T2 one
-    for s in (spec(Variant.T1, 4, {1, 2}, {3}), spec(Variant.T2, 5, {1, 2, 3}, {4})):
+    # a 1-weight T1 image (simplex check included), a two-weight T2 one
+    # and a non-minimal T2 one (witness included)
+    for s in (
+        spec(Variant.T1, 4, {1, 2}, {3}),
+        spec(Variant.T2, 5, {1, 2, 3}, {4}),
+        spec(Variant.T2, 4, {1, 2, 3}, {4}),
+    ):
+        table = enumerate_code(build_defining_set(s))
+        image = gray_image(table)
         calls.clear()
-        report = analyze(s)
+        with monkeypatch.context() as patch:
+            patch.setattr(construction, "gf2_basis", counting_basis)
+            report = analyze(s)
         assert report.prediction_diffs == ()
-        assert calls.count(report.code_size) == 1, calls
+        # only the m rows are eliminated, those of the code and of its image once each
+        assert sorted(calls) == sorted([table.rows, image.rows])
+
+
+def test_analyze_builds_no_codeword_list(monkeypatch):
+    def refuse(table):
+        raise AssertionError("codewords built")
+
+    monkeypatch.setattr(CodeTable, "codewords", property(refuse))
+    for s in (
+        spec(Variant.T1, 4, {1, 2}, {3}),
+        spec(Variant.T2, 5, {1, 2, 3}, {4}),
+        spec(Variant.T2, 4, {1, 2, 3}, {4}),
+    ):
+        report = analyze(s)
+        assert report.code_size == 1 << report.params.k
+    assert report.minimal == "no" and report.minimal_witness is not None
+
+
+def test_analyze_memory_stays_below_half_of_the_word_lists():
+    # Full analyze of T2 m=10 (4096 codewords of length 1984) peaked at
+    # 2.15 MB under tracemalloc when it built every ring and Gray codeword.
+    s = spec(Variant.T2, 10, {1, 2, 3, 4, 5}, {6, 7})
+    tracemalloc.start()
+    try:
+        report = analyze(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.prediction_diffs == () and report.minimal == "yes-exhaustive"
+    assert peak < 2.15e6 / 2, peak
 
 
 def test_certificates_reject_non_linear_tables():

@@ -11,6 +11,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -34,6 +35,7 @@ from icodes import (
     gray_image,
     weight_enumerator,
 )
+from icodes.geometry import all_vectors, character_sum, gf2_basis, walsh_hadamard
 
 # Independent mini-ring: symbol tables only, no bit tricks.
 ADD = {
@@ -355,33 +357,85 @@ def test_enumeration_matches_symbol_table_oracle_m2(variant):
             assert table.kernel_size == codewords["0" * len(ds)]
 
 
-def test_collapsed_and_plain_walks_agree():
-    rng = random.Random(3)
-    specs = [spec(Variant.T4, 2, {1}, {2})]
+#: GENERIC (d1, d2) per m, whose a-parts repeat and include zero.
+GENERIC_PARTS = {
+    1: (("1", "0", "1"), ("1",)),
+    2: (("11", "00", "11", "01"), ("10", "10")),
+    3: (("110", "101", "110", "000", "011"), ("001", "001", "111")),
+    4: (("0000", "1100", "1100", "0111", "1111", "0000"), ("1010", "0001")),
+}
+
+
+def defining_sets(m):
+    """Every nonempty T1..T5 defining set of dimension m, then the GENERIC one."""
     for variant in (Variant.T1, Variant.T2, Variant.T3, Variant.T4, Variant.T5):
-        for m in (1, 2, 3):
-            # every (M, N) pair up to m = 2, a fixed sample of them at m = 3
-            masks = [(mm, nn) for mm in range(1 << m) for nn in range(1 << m)]
-            if m == 3:
-                masks = rng.sample(masks, 6)
-            for mm, nn in masks:
+        for mm in range(1 << m):
+            for nn in range(1 << m):
                 M = frozenset(i + 1 for i in range(m) if mm >> i & 1)
                 N = frozenset(i + 1 for i in range(m) if nn >> i & 1)
-                specs.append(spec(variant, m, M, N))
-    d1 = tuple(BitVector.from_string(t) for t in ("110", "101", "110", "000", "011"))
-    d2 = tuple(BitVector.from_string(t) for t in ("001", "001", "111"))
-    specs.append(DefiningSetSpec(variant=Variant.GENERIC, m=3, d1=d1, d2=d2))
-    for s in specs:
-        try:
-            ds = build_defining_set(s)
-        except EmptyDefiningSetError:
-            continue
-        fast = enumerate_code(ds)
+                try:
+                    yield build_defining_set(spec(variant, m, M, N))
+                except EmptyDefiningSetError:
+                    pass
+    d1, d2 = (tuple(map(BitVector.from_string, part)) for part in GENERIC_PARTS[m])
+    yield build_defining_set(DefiningSetSpec(variant=Variant.GENERIC, m=m, d1=d1, d2=d2))
+
+
+def test_collapsed_and_plain_walks_agree():
+    """The transform table against the XOR span of the rows, its own
+    built codewords and the character sums, on every code up to m = 4;
+    against the plain 4^m walk on every code up to m = 3 and on a fixed
+    sample at m = 4 (walking all of m = 4 takes minutes)."""
+    for m in range(1, 5):
+        sets = list(defining_sets(m))
+        walked = set(range(len(sets)))
+        if m == 4:
+            walked = set(random.Random(4).sample(range(len(sets) - 1), 8)) | {len(sets) - 1}
+        for index, ds in enumerate(sets):
+            check_transform_table(ds, walk=index in walked)
+
+
+def check_transform_table(ds, walk):
+    m, n = ds.m, len(ds)
+    # the ring-vs-rows spot check is covered elsewhere
+    table = enumerate_code(ds, agreement_samples=0)
+    mu_hat = list(ds.mu)
+    walsh_hadamard(mu_hat)
+    points = [t1 for t1, _t2 in ds]
+    words = [0]
+    for row in ds.rows:
+        words += [w ^ row for w in words]
+    for alpha in all_vectors(m):
+        assert character_sum(alpha, points) == mu_hat[alpha.bits]
+        assert 2 * words[alpha.bits].bit_count() == n - mu_hat[alpha.bits]
+    distribution = Counter(2 * w.bit_count() for w in set(words))
+    profile = {w: count << m for w, count in Counter(2 * w.bit_count() for w in words).items()}
+    facts = (distribution, profile, words.count(0) << m, len(gf2_basis(words)))
+    assert (table.weight_distribution, table.message_profile, table.kernel_size,
+            len(table.basis)) == facts, ds
+    assert [cw.t_word for cw in table.codewords] == sorted(set(words))
+    assert not any(cw.s_word for cw in table.codewords)
+    if walk:
         slow = enumerate_code(ds, collapse_beta=False)
-        assert fast.weight_distribution == slow.weight_distribution, s
-        assert fast.message_profile == slow.message_profile, s
-        assert fast.kernel_size == slow.kernel_size, s
-        assert fast.codewords == slow.codewords, s
+        assert slow == table
+        assert (slow.weight_distribution, slow.message_profile, slow.kernel_size,
+                len(gf2_basis(cw.t_word for cw in slow.codewords))) == facts, ds
+
+
+def test_tables_build_their_codewords_when_read(monkeypatch):
+    ds = build_defining_set(spec(Variant.T2, 4, {1, 2}, {3}))
+    table = enumerate_code(ds)
+    image = gray_image(table)
+    for t in (table, image):
+        assert "codewords" not in vars(t) and len(t) == 16
+    # the image of row r is r | r << n, and the image keeps the table order
+    n = len(ds)
+    assert image.codewords == tuple(cw.t_word | cw.t_word << n for cw in table.codewords)
+    # built words meet the codeword laws, here the Gray isometry of each
+    monkeypatch.setattr(RingVector, "gray_bits", lambda self: self.t_word)
+    image = gray_image(enumerate_code(build_defining_set(spec(Variant.T2, 3, {1}, {2}))))
+    with pytest.raises(RuntimeError, match="Gray image weight"):
+        image.codewords
 
 
 def test_tampered_generator_rows_fail_the_ring_check():

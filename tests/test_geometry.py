@@ -20,7 +20,7 @@ from icodes import (
     gf2_basis,
     support_disjoint,
 )
-from icodes.geometry import bit_string
+from icodes.geometry import bit_string, walsh_hadamard
 
 
 def bv(text: str) -> BitVector:
@@ -318,6 +318,30 @@ def test_character_sum_equals_generating_function_at_signs():
 def test_character_sum_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         character_sum(bv("01"), [bv("011")])
+
+
+# --- Walsh-Hadamard transform -------------------------------------------------
+
+
+def test_walsh_hadamard_gives_every_character_sum():
+    rng = random.Random(5)
+    for m in range(1, 6):
+        counts = [rng.randrange(4) for _ in range(1 << m)]
+        points = [BitVector(m, x) for x, count in enumerate(counts) for _ in range(count)]
+        transform = list(counts)
+        walsh_hadamard(transform)
+        assert transform == [character_sum(alpha, points) for alpha in all_vectors(m)]
+        walsh_hadamard(transform)  # the transform is its own inverse up to 2^m
+        assert transform == [count << m for count in counts]
+    single = [5]
+    walsh_hadamard(single)
+    assert single == [5]
+
+
+@pytest.mark.parametrize("size", [0, 3, 6])
+def test_walsh_hadamard_needs_a_power_of_two(size):
+    with pytest.raises(ValueError, match="power of two"):
+        walsh_hadamard([1] * size)
 
 
 # --- GF(2) basis helper -------------------------------------------------------
