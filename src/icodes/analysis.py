@@ -9,15 +9,15 @@ verdict, the closed-form optimality predictor for T2 parameters, and the
 replicated-simplex structure check for 1-weight codes), and ``analyze``,
 the one per-code entry point that builds, enumerates, certifies and compares
 each closed-form fact once.  The certificates read no codeword list:
-they work on the image's cached
-:attr:`~icodes.construction.CodeTable.basis`, which for an enumerated
-code is the elimination of its m generator rows.  Minimality is decided
-on the distinct nonzero columns of that basis, the points of the code,
-by the cutting-blocking-set criterion, and only a witness pair is ever
-built as words; self-orthogonality pairs the basis words, and the
-simplex check counts the columns.  ``analyze`` judges each certificate
-against its closed-form expectation where it computes it.
-``verify_against_prediction`` is ``analyze``'s weight-profile
+they work on the image's :attr:`~icodes.construction.CodeTable.basis`,
+the canonical reduced echelon basis every table is reduced to once, on
+construction (for an enumerated code, from its m generator rows).
+Minimality is decided on the distinct nonzero columns of that basis, the
+points of the code, by the cutting-blocking-set criterion, and only a
+witness pair is ever built as words; self-orthogonality pairs the basis
+words, and the simplex check counts the columns.  ``analyze`` judges
+each certificate against its closed-form expectation where it computes
+it.  ``verify_against_prediction`` is ``analyze``'s weight-profile
 comparison: ``analyze`` restricted to the ``verify`` analysis, projected
 to a ``PredictionMatch``.
 """
@@ -258,18 +258,17 @@ def is_minimal_exhaustive(table: CodeTable) -> MinimalityFinding:
     Decided on the points of the code, the distinct nonzero columns S of
     its basis (cutting blocking sets: Alfarano, Borello and Neri, Adv.
     Math. Commun. 16 (2022); Tang, Qiu, Liao and Zhou, IEEE Trans. Inf.
-    Theory 67(6) (2021)).  With the basis in reduced echelon form, x in
-    F_2^k selects the x-th smallest codeword u_x, whose support is the
-    coordinates whose column p has odd x . p.  u_x is covered iff some
-    nonzero codeword avoids its support, iff the points off the
+    Theory 67(6) (2021)).  The table's basis is in reduced echelon form,
+    so x in F_2^k selects the x-th smallest codeword u_x, whose support
+    is the coordinates whose column p has odd x . p.  u_x is covered iff
+    some nonzero codeword avoids its support, iff the points off the
     hyperplane x^perp fail to span F_2^k: one early-exit rank test per x,
     over S in a fixed shuffled order.  The witness is the smallest
     covered word and the smallest other word covering it, in increasing
-    order (the table order of every table built here), and only those two
-    words are built.
+    order (the table order), and only those two words are built.
     """
     _require_binary(table)
-    rows = _reduced_echelon(table.basis)
+    rows = table.basis
     k = len(rows)
     points = sorted(_column_counts(rows, table.length))
     random.Random(_POINT_ORDER_SEED).shuffle(points)
@@ -284,22 +283,7 @@ def is_minimal_exhaustive(table: CodeTable) -> MinimalityFinding:
     return MinimalityFinding(True, None)
 
 
-def _reduced_echelon(basis: tuple[int, ...]) -> list[int]:
-    """The basis in reduced echelon form, by increasing leading bit.
-
-    Each leading bit is then set in its own row only, so the XOR of the
-    rows that x selects grows with x: x-th word in increasing order.
-    """
-    rows = sorted(basis)  # distinct leading bits, so this orders by them
-    for i, row in enumerate(rows):
-        lead = 1 << (row.bit_length() - 1)
-        for j in range(i + 1, len(rows)):
-            if rows[j] & lead:
-                rows[j] ^= row
-    return rows
-
-
-def _column_counts(rows: list[int] | tuple[int, ...], length: int) -> Counter[int]:
+def _column_counts(rows: tuple[int, ...], length: int) -> Counter[int]:
     """How often each nonzero column of the matrix with these rows occurs;
     a column is a word whose bit i is its entry in row i."""
     texts = [format(row, f"0{length}b") for row in rows]
@@ -327,7 +311,7 @@ def _spans_off_hyperplane(points: list[int], x: int, k: int) -> bool:
     return False
 
 
-def _combine(rows: list[int], x: int) -> int:
+def _combine(rows: tuple[int, ...], x: int) -> int:
     """The XOR of the rows that x selects."""
     word = 0
     for i, row in enumerate(rows):

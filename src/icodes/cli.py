@@ -43,7 +43,7 @@ from .construction import (
     weight_enumerator,
 )
 from .errors import BudgetExceededError, EmptyDefiningSetError
-from .geometry import bit_string
+from .geometry import MAX_DIMENSION, bit_string
 from .ring import ELEMENTS, addition_table, multiplication_table
 
 SCHEMA_VERSION = 1
@@ -73,18 +73,19 @@ def parse_subset(text: str | None) -> frozenset[int]:
 
 
 def parse_m_range(text: str) -> list[int]:
-    """Either a single dimension '4' or an inclusive range '1..4'."""
+    """Either a single dimension '4' or an inclusive range '1..4'; both
+    bounds are checked before any dimension is listed."""
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(text)]
+        lo, _, hi = text.partition("..")
+        lo = int(lo)
+        hi = int(hi) if ".." in text else lo
     except ValueError:
         raise UsageError(f"cannot parse m range {text!r}; expected '4' or '1..4'") from None
-    if not values or min(values) < 1:
+    if lo > hi or lo < 1:
         raise UsageError(f"empty or non-positive m range {text!r}")
-    return values
+    if hi > MAX_DIMENSION:
+        raise UsageError(f"m must be in 1..{MAX_DIMENSION}, got {hi}")
+    return list(range(lo, hi + 1))
 
 
 def parse_variants(text: str) -> list[Variant]:
@@ -444,11 +445,10 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
         if not args.variant or args.m is None:
             raise UsageError("analyze needs --variant and --m (or --config)")
         specs = [_spec_from_args(args)]
-        requested = (
-            tuple(part.strip() for part in args.analyses.split(","))
-            if args.analyses
-            else None
-        )
+        requested = None
+        if args.analyses is not None:
+            text = args.analyses.strip()
+            requested = tuple(part.strip() for part in text.split(",")) if text else ()
         analyses_list = [requested]
         fmt = args.format
 

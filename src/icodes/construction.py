@@ -15,18 +15,20 @@ code is b times the row space of one m x n binary generator matrix
 is fixed by the column multiplicity mu(x) = #{d : t1(d) = x}
 (:attr:`DefiningSet.mu`), and the Lee weight of alpha's codeword is the
 character sum n - mu_hat(alpha): :func:`enumerate_code` takes every
-weight from one Walsh-Hadamard transform of mu, and a table keeps its m
-rows instead of its 2^m codewords, which are built (sorted) only when
-something reads :attr:`CodeTable.codewords`.  :func:`encode` is plain
-ring arithmetic and reads no row; the rows meet it in one place, the
-sampled agreement check of the fast walk, which also checks each
-sampled weight against the transform, so the 4^m walk stays an oracle
-independent of the rows.  Each law of a table is checked with explicit
-raises that survive ``python -O``: the laws of the weight data by
-:meth:`CodeTable.validate`, and the laws that read codewords wherever
-codewords exist.  A table's GF(2) basis is computed once, from its rows
-or, for a table given as a word list, from the words (its one linearity
-check), and cached as :attr:`CodeTable.basis` for the certificates.
+weight from one Walsh-Hadamard transform of mu.  A :class:`CodeTable` is
+the code's generator rows, reduced once on construction to the canonical
+reduced echelon basis, with its weight distribution and kernel size; its
+message profile is derived from those, and its codewords are built from
+the basis, in increasing order, only when something reads
+:attr:`CodeTable.codewords`.  :func:`encode` is plain ring arithmetic and
+reads no row; the rows meet it in one place, the sampled agreement check
+of the fast walk, which also checks each sampled weight against the
+transform.  The 4^m walk stays an oracle independent of the rows: it
+passes its own distinct ring-evaluated words as rows, and checks the
+message profile it counted against the derived one.  Each law is checked
+with explicit raises that survive ``python -O``: the laws of the weight
+data and the rank when a table is constructed, so no table exists unless
+they hold, and the laws that read codewords whenever codewords are built.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, DimensionMismatchError, EmptyDefiningSetError
 from .geometry import (
@@ -342,62 +344,71 @@ def encode(v: RingVector, ds: DefiningSet) -> RingVector:
     return RingVector.from_elements([v.dot(ds.element(i)) for i in range(len(ds))])
 
 
+@dataclass(frozen=True)
 class CodeTable:
-    """An enumerated code with its weight bookkeeping.
+    """An enumerated code: its generator rows with its weight bookkeeping.
 
-    weight_distribution counts distinct codewords per weight;
-    message_profile counts messages, so its values are the distribution's
-    times the kernel size.  A table is given its codewords (RingVector
-    values for the ring alphabet, plain bit words for the binary one), or
-    instead generator rows whose XOR span they are (for a ring table, the
-    t-parts of that span), or the ring table it is the Gray image of.
-    Codewords that were not given are built, in increasing order, on the
-    first read of :attr:`codewords`, and the laws that read codewords are
-    checked then.  Tables compare by alphabet, length, codewords and
-    kernel size.
+    rows generate the code over GF(2) (for a ring table, the t-parts of
+    the codewords, whose a-parts are all zero) and may be dependent;
+    construction replaces them by the canonical basis of their span
+    (:func:`_reduced_echelon`), so tables of one code compare equal
+    whatever rows they were given, and the x-th codeword in increasing
+    order is the XOR of the rows that x selects.  weight_distribution
+    counts codewords per weight.  The laws of a table are checked on
+    construction, so no table exists unless they hold: among them, the
+    words number 2^rank and weigh in all what the coordinates the rows
+    reach fix.  The laws that read codewords are checked whenever
+    :attr:`codewords` builds them.
     """
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        length: int,
-        codewords: Sequence | None,
-        kernel_size: int,
-        weight_distribution: dict[int, int],
-        message_profile: dict[int, int],
-        *,
-        rows: tuple[int, ...] | None = None,
-        preimage: CodeTable | None = None,
-    ) -> None:
-        if codewords is None and rows is None and preimage is None:
-            raise ValueError("a code table needs its codewords, generator rows or preimage")
-        self.alphabet = alphabet
-        self.length = length
-        self.kernel_size = kernel_size
-        self.weight_distribution = weight_distribution
-        self.message_profile = message_profile
-        self.rows = rows
-        self.preimage = preimage
-        if codewords is not None:
-            self.__dict__["codewords"] = tuple(codewords)  # fills the cache below
+    alphabet: Alphabet
+    length: int
+    rows: tuple[int, ...]
+    kernel_size: int
+    weight_distribution: dict[int, int]
+
+    def __post_init__(self) -> None:
+        rows = _reduced_echelon(self.rows)
+        object.__setattr__(self, "rows", rows)
+        wd = self.weight_distribution
+        _check(wd.get(0) == 1, "zero codeword must be the unique weight-0 word")
+        cap = 2 * self.length if self.alphabet is Alphabet.RING else self.length
+        _check(all(0 <= w <= cap for w in wd), "weight outside the possible range")
+        _check(not rows or rows[-1].bit_length() <= self.length, "row wider than the length")
+        _check(1 << len(rows) == len(self), "code size must be 2^rank of the rows")
+        # each coordinate some row reaches is 1 in half the codewords, and a
+        # ring word's Lee weight is twice that of its t-part
+        support = 0
+        for row in rows:
+            support |= row
+        per_bit = 2 if self.alphabet is Alphabet.RING else 1
+        _check(
+            2 * sum(w * count for w, count in wd.items())
+            == per_bit * support.bit_count() << len(rows),
+            "weights must total half the code size per reached coordinate",
+        )
 
     def __len__(self) -> int:
         return sum(self.weight_distribution.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CodeTable):
-            return NotImplemented
-        return (self.alphabet, self.length, self.kernel_size, self.codewords) == (
-            other.alphabet, other.length, other.kernel_size, other.codewords
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return (
             f"CodeTable(alphabet={self.alphabet}, length={self.length}, size={len(self)}, "
             f"kernel_size={self.kernel_size}, weight_distribution={self.weight_distribution})"
         )
+
+    @property
+    def basis(self) -> tuple[int, ...]:
+        """The rows: the reduced echelon basis of the code, by increasing
+        leading bit."""
+        return self.rows
+
+    @property
+    def message_profile(self) -> dict[int, int]:
+        """Messages per weight, in increasing weight order: each codeword
+        is the image of kernel_size messages."""
+        wd = self.weight_distribution
+        return {w: wd[w] * self.kernel_size for w in sorted(wd)}
 
     @property
     def num_weights(self) -> int:
@@ -411,92 +422,51 @@ class CodeTable:
     def max_weight(self) -> int:
         return max(self.weight_distribution)
 
-    @cached_property
+    @property
     def codewords(self) -> tuple:
-        """Every codeword, in increasing order, built on first read.
-
-        A Gray image maps its preimage's codewords word by word, checking
-        the isometry on each; a table with rows spans its basis.  Either
-        way the words then meet the laws of :meth:`_check_codewords`.
-        """
-        if self.preimage is not None:
-            words = []
-            for cw in self.preimage.codewords:
-                bits = cw.gray_bits()
-                if bits.bit_count() != cw.lee_weight():
-                    raise RuntimeError("Gray image weight differs from Lee weight")
-                words.append(bits)
-        else:
-            words = [0]
-            for row in self.basis:
-                words += [w ^ row for w in words]
-        words.sort()
-        if self.alphabet is Alphabet.RING:
+        """Every codeword, in increasing order, built from the rows on each
+        read: the x-th is the XOR of the rows that x selects.  The words
+        are checked to increase from zero (so they are distinct) and to
+        be weighed as the distribution says."""
+        words = [0]
+        for row in self.rows:
+            words += [w ^ row for w in words]
+        _check(
+            all(u < v for u, v in itertools.pairwise(words)),
+            "codewords must increase from the zero word in index order",
+        )
+        ring = self.alphabet is Alphabet.RING
+        if ring:
             words = [RingVector(self.length, 0, w) for w in words]
         words = tuple(words)
-        self._check_codewords(words)
-        return words
-
-    @cached_property
-    def basis(self) -> tuple[int, ...]:
-        """A GF(2) basis: of the rows, or of a binary table's given words.
-
-        For given words this is their one linearity check: distinct words
-        number 2^rank only when they are the whole span, so repeated words
-        are rejected first.
-        """
-        if self.rows is not None:
-            return gf2_basis(self.rows)
-        if self.alphabet is not Alphabet.BINARY:
-            raise ValueError("basis expects a binary-alphabet code")
-        if len(set(self.codewords)) != len(self.codewords):
-            raise ValueError("repeated codewords (linearity violation)")
-        basis = gf2_basis(self.codewords)
-        if 1 << len(basis) != len(self.codewords):
-            raise ValueError(
-                f"{len(self.codewords)} codewords but rank {len(basis)} (linearity violation)"
-            )
-        return basis
-
-    def validate(self) -> None:
-        """Check the internal consistency laws; raises AssertionError, or
-        ValueError when a binary table is not linear.
-
-        The laws of the weight data always run; those that read codewords
-        run here if the codewords exist, and otherwise when they are
-        built.  A table with rows must have 2^rank codewords.
-        """
-        wd, mp = self.weight_distribution, self.message_profile
-        _check(wd.get(0) == 1, "zero codeword must be the unique weight-0 word")
-        _check(set(wd) == set(mp), "distribution and message profile must share weights")
-        for w, count in wd.items():
-            _check(mp[w] == count * self.kernel_size, f"kernel law fails at weight {w}")
-        cap = 2 * self.length if self.alphabet is Alphabet.RING else self.length
-        _check(all(0 <= w <= cap for w in wd), "weight outside the possible range")
-        if "codewords" in self.__dict__:
-            self._check_codewords(self.codewords)
-        if self.rows is not None:
-            _check(1 << len(self.basis) == len(self), "code size must be 2^rank of the rows")
-        elif self.alphabet is Alphabet.BINARY:
-            self.basis  # raises unless the table is linear
-
-    def _check_codewords(self, words: tuple) -> None:
-        """The laws that read codewords: distinct, with zero, and weighed
-        as the distribution says."""
-        ring = self.alphabet is Alphabet.RING
-        _check(len(set(words)) == len(words), "duplicate codewords")
-        _check((RingVector(self.length) if ring else 0) in words, "zero codeword missing")
         weight = RingVector.lee_weight if ring else int.bit_count
         _check(
             Counter(map(weight, words)) == Counter(self.weight_distribution),
             "codeword weights disagree with the weight distribution",
         )
+        return words
 
 
 def _check(holds: bool, message: str) -> None:
     """An invariant that must survive ``python -O``, unlike ``assert``."""
     if not holds:
         raise AssertionError(message)
+
+
+def _reduced_echelon(words: Iterable[int]) -> tuple[int, ...]:
+    """The canonical basis of the span of the words: reduced echelon form,
+    by increasing leading bit.
+
+    Each leading bit is then set in its own row only, so the XOR of the
+    rows that x selects grows with x: the x-th word in increasing order.
+    """
+    rows = sorted(gf2_basis(words))  # distinct leading bits, so this orders by them
+    for i, row in enumerate(rows):
+        lead = 1 << (row.bit_length() - 1)
+        for j in range(i + 1, len(rows)):
+            if rows[j] & lead:
+                rows[j] ^= row
+    return tuple(rows)
 
 
 def _sample_messages(m: int, count: int, seed: int) -> list[RingVector]:
@@ -521,14 +491,16 @@ def enumerate_code(
     The default path takes the Lee weight of every a-part alpha at once,
     as n - mu_hat(alpha) from one Walsh-Hadamard transform of the column
     multiplicity, and credits each alpha with its 2^m free b-parts; the
-    kernel is the a-parts of weight 0.  The table keeps the generator
-    rows, so it builds its codewords only when they are read.  Before
-    that, sampled messages (all of them for m <= 2) are spot-checked:
-    raw ring evaluation (:func:`encode`) must match b times the XOR of
-    the rows alpha selects, and twice that word's weight the transform.
-    That check is the one place where the rows meet ring arithmetic.
+    kernel is the a-parts of weight 0.  The table is the generator rows,
+    so it builds its codewords only when they are read.  Before that,
+    sampled messages (all of them for m <= 2) are spot-checked: raw ring
+    evaluation (:func:`encode`) must match b times the XOR of the rows
+    alpha selects, and twice that word's weight the transform.  That
+    check is the one place where the rows meet ring arithmetic.
     collapse_beta=False forces the plain 4^m message walk with full ring
-    arithmetic everywhere, reads no row, and lists its own codewords.
+    arithmetic everywhere and reads no row: its distinct words are the
+    table's rows, so a word set that is not a subspace fails the table's
+    rank law, and the message profile it counts must be the derived one.
     """
     m, n = ds.m, len(ds)
     budget = DEFAULT_WORK_BUDGET if work_budget is None else work_budget
@@ -550,10 +522,14 @@ def enumerate_code(
         table = CodeTable(
             Alphabet.RING,
             n,
-            tuple(RingVector(n, 0, word) for word in sorted(codeword_hits)),
+            tuple(codeword_hits),
             per_codeword.pop(),
             dict(Counter(2 * word.bit_count() for word in codeword_hits)),
-            {w: profile[w] for w in sorted(profile)},
+        )
+        _check(
+            dict(profile) == table.message_profile,
+            "kernel law fails: the walked message profile is not the distribution "
+            "times the kernel size",
         )
     else:
         if agreement_samples is None:
@@ -585,14 +561,11 @@ def enumerate_code(
         table = CodeTable(
             Alphabet.RING,
             n,
-            None,
+            rows,
             per_codeword << m,
             {w: count // per_codeword for w, count in alphas.items()},
-            {w: alphas[w] << m for w in sorted(alphas)},
-            rows=rows,
         )
     _check(sum(table.message_profile.values()) == messages, "message profile must sum to 4^m")
-    table.validate()
     return table
 
 
@@ -601,27 +574,25 @@ def gray_image(table: CodeTable) -> CodeTable:
 
     Each length-n ring word maps to 2n bits in block layout (t-part, then
     (s+t)-part).  The map is an isometry, so the image keeps the
-    distribution; every codeword here has a zero a-part, so each row r
-    maps to r | r << n.  The image's codewords, when read, are the images
-    of the ring codewords, each checked against its Lee weight.  The
-    image must be linear (its :meth:`CodeTable.validate`); either failure
-    aborts, since it signals a bug.
+    distribution; every codeword here has a zero a-part, on which the map
+    is linear, so the images r | r << n of the rows generate the image,
+    in the same index order.  Each row's image is checked against its Lee
+    weight (a failure signals a bug and aborts); the image's codewords
+    meet the weight law whenever they are built.
     """
     if table.alphabet is not Alphabet.RING:
         raise ValueError("gray_image expects a ring-alphabet code")
     n = table.length
-    image = CodeTable(
-        Alphabet.BINARY,
-        2 * n,
-        None,
-        table.kernel_size,
-        dict(table.weight_distribution),
-        dict(table.message_profile),
-        rows=None if table.rows is None else tuple(r | r << n for r in table.rows),
-        preimage=table,
+    rows = []
+    for row in table.rows:
+        word = RingVector(n, 0, row)
+        bits = word.gray_bits()
+        if bits.bit_count() != word.lee_weight():
+            raise RuntimeError("Gray image weight differs from Lee weight")
+        rows.append(bits)
+    return CodeTable(
+        Alphabet.BINARY, 2 * n, tuple(rows), table.kernel_size, dict(table.weight_distribution)
     )
-    image.validate()
-    return image
 
 
 @dataclass(frozen=True)

@@ -42,20 +42,17 @@ def spec(variant, m, M=(), N=()):
 
 
 def binary_table(n: int, words) -> CodeTable:
+    """The table whose rows are the words: a linear word set, with its
+    distribution counted from the words."""
     from collections import Counter
 
-    dist = dict(Counter(w.bit_count() for w in words))
     return CodeTable(
-        alphabet=Alphabet.BINARY,
-        length=n,
-        codewords=tuple(sorted(words)),
-        kernel_size=1,
-        weight_distribution=dist,
-        message_profile=dict(dist),
+        Alphabet.BINARY, n, tuple(words), 1, dict(Counter(w.bit_count() for w in words))
     )
 
 
 def span(generators, n):
+    """The span of the generators as a table whose rows are every word of it."""
     words = {0}
     for g in generators:
         words |= {w ^ g for w in words}
@@ -65,12 +62,7 @@ def span(generators, n):
 def rows_table(generators, n) -> CodeTable:
     """The span of the generators as a table that keeps only its rows."""
     words = span(generators, n)
-    table = CodeTable(
-        Alphabet.BINARY, n, None, 1, words.weight_distribution, words.message_profile,
-        rows=tuple(generators),
-    )
-    table.validate()
-    return table
+    return CodeTable(Alphabet.BINARY, n, tuple(generators), 1, words.weight_distribution)
 
 
 def assert_same_certificates(table, other):
@@ -274,8 +266,9 @@ def test_minimality_decides_large_spans_and_rejects_non_linear_tables():
     assert len(simplex) == 4096
     finding = is_minimal_exhaustive(simplex)
     assert finding.minimal and finding.witness is None
-    with pytest.raises(ValueError):
-        is_minimal_exhaustive(binary_table(2, [0, 1, 2]))
+    # a word set that is not a subspace is rejected when the table is built
+    with pytest.raises(AssertionError, match="2\\^rank"):
+        binary_table(2, [0, 1, 2])
 
 
 def test_ab_condition_cases():
@@ -502,15 +495,16 @@ def test_analyze_eliminates_each_image_once(monkeypatch):
         spec(Variant.T2, 5, {1, 2, 3}, {4}),
         spec(Variant.T2, 4, {1, 2, 3}, {4}),
     ):
-        table = enumerate_code(build_defining_set(s))
-        image = gray_image(table)
+        ds = build_defining_set(s)
+        image = gray_image(enumerate_code(ds))
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(construction, "gf2_basis", counting_basis)
             report = analyze(s)
         assert report.prediction_diffs == ()
-        # only the m rows are eliminated, those of the code and of its image once each
-        assert sorted(calls) == sorted([table.rows, image.rows])
+        # only the m rows are eliminated, once each: the code's generator
+        # rows, and the images of its basis, which are the image's basis
+        assert sorted(calls) == sorted([ds.rows, image.rows])
 
 
 def test_analyze_builds_no_codeword_list(monkeypatch):
@@ -543,20 +537,21 @@ def test_analyze_memory_stays_below_half_of_the_word_lists():
 
 
 def test_certificates_reject_non_linear_tables():
-    bogus = binary_table(3, [0, 3, 5])  # one weight, but not closed under addition
-    certificates = (binary_params, is_self_orthogonal, is_minimal_exhaustive, simplex_structure)
-    for certificate in certificates:
-        with pytest.raises(ValueError, match="linearity"):
-            certificate(bogus)
+    # one weight, but not closed under addition: no table has these words,
+    # nor does a table of their span whose distribution is replaced by theirs
+    with pytest.raises(AssertionError, match="2\\^rank"):
+        binary_table(3, [0, 3, 5])
+    closed = binary_table(3, [0, 3, 5, 6])
+    with pytest.raises(AssertionError, match="2\\^rank"):
+        dataclasses.replace(closed, weight_distribution={0: 1, 2: 2})
+    assert simplex_structure(closed).kind == "replicated-simplex"
 
 
 def test_certificates_reject_repeated_codewords():
-    # 2^rank words, all nonzero ones of weight 1, but 1 listed twice and 3 missing
-    multiset = binary_table(2, [0, 1, 1, 2])
-    certificates = (binary_params, is_self_orthogonal, is_minimal_exhaustive, simplex_structure)
-    for certificate in certificates:
-        with pytest.raises(ValueError, match="repeated codewords"):
-            certificate(multiset)
+    # 2^rank words, all nonzero ones of weight 1, but 1 listed twice and 3
+    # missing: the size law holds, the total weight of the span does not
+    with pytest.raises(AssertionError, match="weights must total"):
+        binary_table(2, [0, 1, 1, 2])
 
 
 def test_analyze_respects_requested_analyses():

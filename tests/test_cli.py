@@ -148,6 +148,36 @@ def test_construct_json_and_dumps(streamed_keys):
             assert all(set(w) <= {"0", "1"} for w in doc["gray_codewords"])
 
 
+#: The Gray map of one ring symbol a*s + b*t: its t-bit and its (s+t)-bit.
+GRAY_BITS = {"0": ("0", "0"), "a": ("0", "1"), "b": ("1", "1"), "c": ("1", "0")}
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        ["--variant", "T1", "--m", "6", "--M", "2,3", "--N", "4,5"],
+        ["--variant", "T5", "--m", "4", "--M", "2,3,4", "--N", "1,2,4"],
+    ],
+    ids=["T1-m6", "T5-m4"],
+)
+def test_dumps_correspond_word_by_word(code):
+    status, text = run(["construct", *code, "--format", "json", *DUMPS])
+    assert status == 0
+    doc = json.loads(text)
+    ring, gray = doc["ring_codewords"], doc["gray_codewords"]
+    assert len(ring) == len(gray) == doc["code_size"]
+    for word, image in zip(ring, gray):
+        # block layout: every coordinate's t-bit, then every (s+t)-bit
+        assert image == "".join(GRAY_BITS[ch][0] for ch in word) + "".join(
+            GRAY_BITS[ch][1] for ch in word
+        )
+    # coordinate 1 is the lowest bit; a ring word's value is its t-part
+    ring_values = [int("".join(GRAY_BITS[ch][0] for ch in word)[::-1], 2) for word in ring]
+    gray_values = [int(image[::-1], 2) for image in gray]
+    for values in (ring_values, gray_values):
+        assert all(u < v for u, v in zip(values, values[1:]))
+
+
 def test_emit_streams_iterators_byte_identically():
     doc = {
         "z": iter([{"k": [1, {"nested": "line\nbreak"}]}, "s", []]),
@@ -251,6 +281,13 @@ def test_analyze_subset_of_analyses():
     assert code == 0
     assert "griesmer" in text
     assert "minimal" not in text
+
+
+@pytest.mark.parametrize("analyses", ["", " "])
+def test_analyze_empty_analyses_flag_is_a_usage_error(analyses, capsys):
+    argv = ["analyze", "--variant", "T2", "--m", "4", "--M", "1", "--N", "2", "--analyses", analyses]
+    code, out = run(argv)
+    assert (code, out, capsys.readouterr().err) == (2, "", "error: no analyses requested\n")
 
 
 def test_analyze_requires_parameters():
@@ -393,6 +430,12 @@ def test_verify_json_document(streamed_keys):
 @pytest.mark.parametrize("sample", ["0", "-4"])
 def test_verify_non_positive_sample(sample, capsys):
     assert_one_line_usage_error(["verify", "--m", "3", "--sample", sample], capsys)
+
+
+@pytest.mark.parametrize("m_range", ["1..1000000000", "24..25", "25"])
+def test_verify_rejects_dimensions_past_the_cap_before_any_group(m_range, capsys):
+    # both bounds are checked before the range is listed or any group runs
+    assert_one_line_usage_error(["verify", "--m", m_range], capsys)
 
 
 def test_verify_empty_variants_usage_error():

@@ -5,6 +5,7 @@ encoder written directly from the 4x4 symbol tables, sharing nothing with
 the library's arithmetic, against which small enumerations are compared.
 """
 
+import dataclasses
 import itertools
 import os
 import pathlib
@@ -427,15 +428,44 @@ def test_tables_build_their_codewords_when_read(monkeypatch):
     table = enumerate_code(ds)
     image = gray_image(table)
     for t in (table, image):
-        assert "codewords" not in vars(t) and len(t) == 16
+        assert "codewords" not in vars(t) and len(t) == 16 and len(t.rows) == 4
     # the image of row r is r | r << n, and the image keeps the table order
     n = len(ds)
+    assert image.rows == tuple(r | r << n for r in table.rows)
     assert image.codewords == tuple(cw.t_word | cw.t_word << n for cw in table.codewords)
-    # built words meet the codeword laws, here the Gray isometry of each
+    # built words meet the weight law of the distribution, here one with
+    # the true size and total weight, {0: 1, 24: 12, 32: 3}, but not the shape
+    broken = dataclasses.replace(image, weight_distribution={0: 1, 16: 3, 28: 12})
+    with pytest.raises(AssertionError, match="codeword weights disagree"):
+        broken.codewords
+    # each row's image is checked against its Lee weight
     monkeypatch.setattr(RingVector, "gray_bits", lambda self: self.t_word)
-    image = gray_image(enumerate_code(build_defining_set(spec(Variant.T2, 3, {1}, {2}))))
     with pytest.raises(RuntimeError, match="Gray image weight"):
-        image.codewords
+        gray_image(enumerate_code(build_defining_set(spec(Variant.T2, 3, {1}, {2}))))
+
+
+def test_table_equality_builds_no_codeword(monkeypatch):
+    ds = build_defining_set(spec(Variant.T2, 3, {1}, {2}))
+    fast = enumerate_code(ds)
+    slow = enumerate_code(ds, collapse_beta=False)
+
+    def refuse(table):
+        raise AssertionError("codewords built")
+
+    monkeypatch.setattr(CodeTable, "codewords", property(refuse))
+    # the walk's 2^k word rows and the m generator rows reduce to one basis
+    assert slow == fast
+    assert gray_image(slow) == gray_image(fast)
+    assert fast != dataclasses.replace(fast, kernel_size=2 * fast.kernel_size)
+
+
+def test_plain_walk_checks_its_profile_against_the_kernel_law(monkeypatch):
+    ds = build_defining_set(spec(Variant.T2, 2, {1}, {2}))
+    # a walk that weighs each message by its t-part alone counts a profile
+    # that is not the distribution (from the distinct words) times the kernel
+    monkeypatch.setattr(RingVector, "lee_weight", lambda self: self.t_word.bit_count())
+    with pytest.raises(AssertionError, match="kernel law"):
+        enumerate_code(ds, collapse_beta=False)
 
 
 def test_tampered_generator_rows_fail_the_ring_check():
@@ -471,47 +501,47 @@ def test_plain_walk_reads_no_generator_row(s):
     assert slow.message_profile == fast.message_profile
 
 
-def binary_table(codewords, distribution, kernel_size=1):
-    return CodeTable(
-        alphabet=Alphabet.BINARY,
-        length=3,
-        codewords=codewords,
-        kernel_size=kernel_size,
-        weight_distribution=distribution,
-        message_profile=dict(distribution),
-    )
-
-
 @pytest.mark.parametrize(
-    "table, error, message",
+    "alphabet, length, rows, distribution, message",
     [
         pytest.param(
-            binary_table((0, 5, 5), {0: 1, 2: 2}), AssertionError, "duplicate codewords",
-            id="duplicate-words",
+            Alphabet.BINARY, 3, (0, 5, 5), {0: 1, 2: 2}, "2\\^rank", id="duplicate-words"
         ),
         pytest.param(
-            binary_table((3, 5, 6), {2: 3}), AssertionError, "zero codeword", id="missing-zero"
+            Alphabet.BINARY, 3, (0, 3, 5), {0: 1, 2: 2}, "2\\^rank", id="non-linear-binary-table"
         ),
         pytest.param(
-            binary_table((0, 5), {0: 1, 2: 1}, kernel_size=2), AssertionError, "kernel law",
-            id="wrong-kernel-law",
+            Alphabet.RING, 2, (0, 1, 2), {0: 1, 2: 2}, "2\\^rank", id="non-linear-ring-table"
         ),
         pytest.param(
-            binary_table((0, 3, 5), {0: 1, 2: 2}), ValueError, "linearity",
-            id="non-linear-binary-table",
+            Alphabet.BINARY, 3, (3, 5, 6), {2: 3}, "zero codeword", id="missing-zero"
+        ),
+        pytest.param(
+            Alphabet.BINARY, 3, (0b111,), {0: 1, 4: 1}, "weight outside",
+            id="weight-above-length",
+        ),
+        pytest.param(
+            Alphabet.RING, 1, (1,), {0: 1, 4: 1}, "weight outside",
+            id="weight-above-twice-the-length",
+        ),
+        pytest.param(
+            Alphabet.BINARY, 3, (0b1000,), {0: 1, 1: 1}, "wider", id="row-wider-than-length"
         ),
     ],
 )
-def test_validate_rejects_each_broken_law(table, error, message):
-    with pytest.raises(error, match=message):
-        table.validate()
+def test_validate_rejects_each_broken_law(alphabet, length, rows, distribution, message):
+    # a table validates its laws when it is built; rows given as a word set
+    # with its words counted make 2^rank of them only if it is a subspace,
+    # so no certificate ever meets a non-linear table
+    with pytest.raises(AssertionError, match=message):
+        CodeTable(alphabet, length, rows, 1, distribution)
 
 
 def test_validate_survives_optimized_mode():
     # python -O strips assert statements; the laws must still raise.
     script = (
         "from icodes.construction import Alphabet, CodeTable\n"
-        "CodeTable(Alphabet.BINARY, 3, (0, 5, 5), 1, {0: 1, 2: 2}, {0: 1, 2: 2}).validate()\n"
+        "CodeTable(Alphabet.BINARY, 3, (3, 5, 6), 1, {2: 3})\n"
     )
     src = pathlib.Path(construction.__file__).parents[1]
     result = subprocess.run(
@@ -519,7 +549,7 @@ def test_validate_survives_optimized_mode():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 1
-    assert "AssertionError: duplicate codewords" in result.stderr
+    assert "AssertionError: zero codeword must be the unique weight-0 word" in result.stderr
 
 
 def test_reference_distributions():
@@ -604,21 +634,6 @@ def test_gray_distance_form_random_pairs():
         assert (x.gray_bits() ^ y.gray_bits()).bit_count() == diff.lee_weight()
 
 
-def test_gray_image_closure_check_catches_non_linear_input():
-    # {0, a, b} is not additively closed, so its image cannot be linear.
-    words = (RingVector(1, 0, 0), RingVector(1, 1, 0), RingVector(1, 0, 1))
-    bogus = CodeTable(
-        alphabet=Alphabet.RING,
-        length=1,
-        codewords=words,
-        kernel_size=1,
-        weight_distribution={0: 1, 1: 1, 2: 1},
-        message_profile={0: 1, 1: 1, 2: 1},
-    )
-    with pytest.raises(ValueError, match="linearity"):
-        gray_image(bogus)
-
-
 def test_binary_params_reference_values():
     t2 = enumerate_code(build_defining_set(spec(Variant.T2, 5, {1, 2, 3}, {4})))
     assert binary_params(gray_image(t2)).as_list() == [96, 5, 48]
@@ -634,16 +649,12 @@ def test_binary_params_zero_code_degenerate():
 
 
 def test_binary_params_rejects_non_power_of_two():
-    bogus = CodeTable(
-        alphabet=Alphabet.BINARY,
-        length=3,
-        codewords=(0, 0b101, 0b011),
-        kernel_size=1,
-        weight_distribution={0: 1, 2: 2},
-        message_profile={0: 1, 2: 2},
-    )
-    with pytest.raises(ValueError):
-        binary_params(bogus)
+    # three words are no subspace: the table cannot be built, so binary_params
+    # never sees it; the words closed under addition have parameters
+    with pytest.raises(AssertionError, match="2\\^rank"):
+        CodeTable(Alphabet.BINARY, 3, (0, 0b101, 0b011), 1, {0: 1, 2: 2})
+    closed = CodeTable(Alphabet.BINARY, 3, (0, 0b101, 0b011, 0b110), 1, {0: 1, 2: 3})
+    assert binary_params(closed).as_list() == [3, 2, 2]
 
 
 # --- enumerator rendering -------------------------------------------------------
