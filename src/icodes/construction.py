@@ -1,29 +1,33 @@
 """Defining sets over I^m and the codes they generate.
 
-A defining set is an ordered list of elements a*t1 + b*t2 of I^m: the
-pairs (t1, t2) of one or more blocks D1 x D2, in turn.  One table
-(:func:`_blocks`) states each variant's blocks.  T1..T4 have one, whose
-parts are Delta_M or Delta_N (the vectors supported inside M or N) or
-their complements in F_2^m; T5, the complement in I^m of the T1 set, has
-two disjoint ones; GENERIC has one, of its given lists.  Parts have
-closed-form sizes, so lengths, budgets and empty-set errors build no
-members.  The code is the image of the evaluation map
-v -> (v . d)_{d in D} over all messages v in I^m; because b kills every
-product, a codeword depends only on the a-part alpha of the message: the
-code is b times the row space of one m x n binary generator matrix
-(:attr:`DefiningSet.rows`), whose columns are the t1 parts.  So the code
-is fixed by the column multiplicity mu(x) = #{d : t1(d) = x}
-(:attr:`DefiningSet.mu`), and the Lee weight of alpha's codeword is the
-character sum n - mu_hat(alpha): :func:`enumerate_code` takes every
-weight from one Walsh-Hadamard transform of mu.  A :class:`CodeTable` is
-the code's generator rows, reduced once on construction to the canonical
-reduced echelon basis, with its weight distribution and kernel size; its
-message profile is derived from those, and its codewords are built from
-the basis, in increasing order, only when something reads
-:attr:`CodeTable.codewords`.  :func:`encode` is plain ring arithmetic and
-reads no row; the rows meet it in one place, the sampled agreement check
-of the fast walk, which also checks each sampled weight against the
-transform.  The 4^m walk stays an oracle independent of the rows: it
+A defining set is a union of blocks D1 x D2, each pair (t1, t2) of a
+block standing for the element a*t1 + b*t2 of I^m, and it is held as
+those blocks, never as its n pairs.  One table (:func:`_blocks`) states
+each variant's blocks.  T1..T4 have one, whose parts are Delta_M or
+Delta_N (the vectors supported inside M or N) or their complements in
+F_2^m; T5, the complement in I^m of the T1 set, has two disjoint ones;
+GENERIC has one, of its given lists.  Each part lists its members once,
+in increasing order, and has a closed-form size, so lengths, budgets and
+empty-set errors build no members, and a set's memory is O(2^m) whatever
+n is.  The pairs are ordered block by block, t1 major, and are listed
+only when something walks them (:func:`encode`).  The code is the image
+of the evaluation map v -> (v . d)_{d in D} over all messages v in I^m;
+because b kills every product, a codeword depends only on the a-part
+alpha of the message: the code is b times the row space of one m x n
+binary generator matrix (:attr:`DefiningSet.rows`), whose columns are
+the t1 parts.  So the code is fixed by the column multiplicity
+mu(x) = #{d : t1(d) = x} (:attr:`DefiningSet.mu`), and the Lee weight of
+alpha's codeword is the character sum n - mu_hat(alpha):
+:func:`enumerate_code` takes every weight from one Walsh-Hadamard
+transform of mu.  Both mu and the rows are read off the blocks.  A
+:class:`CodeTable` is the code's generator rows, reduced once on
+construction to the canonical reduced echelon basis, with its weight
+distribution and kernel size; its message profile is derived from those,
+and its codewords are built from the basis, in increasing order, only
+when something reads :attr:`CodeTable.codewords`.  :func:`encode` is
+plain ring arithmetic and reads no row; the rows meet it in one place,
+the sampled agreement check of the fast walk, which also checks each
+sampled weight against the transform.  The 4^m walk stays an oracle independent of the rows: it
 passes its own distinct ring-evaluated words as rows, and checks the
 message profile it counted against the derived one.  Each law is checked
 with explicit raises that survive ``python -O``: the laws of the weight
@@ -39,12 +43,14 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, DimensionMismatchError, EmptyDefiningSetError
 from .geometry import (
     MAX_DIMENSION,
     BitVector,
+    SimplicialComplex,
     bit_string,
     complex_from_generator,
     gf2_basis,
@@ -192,47 +198,88 @@ class DefiningSetSpec:
 
 @dataclass(frozen=True)
 class DefiningSet:
-    """Ordered list of pairs (t1, t2), each standing for a*t1 + b*t2."""
+    """A defining set held as its blocks D1 x D2, in turn.
+
+    Each pair (t1, t2) of a block stands for a*t1 + b*t2.  A part lists
+    its members once, in increasing order of the bit word (a GENERIC
+    part keeps its repeated members together, as runs, in the order they
+    were given), so the set holds nothing of size n: its length is the
+    closed form, and mu and the rows are read off the blocks.  The pairs
+    are listed block by block, t1 major and t2 minor, only when the set
+    is walked.
+    """
 
     m: int
-    pairs: tuple[tuple[BitVector, BitVector], ...]
+    blocks: tuple[tuple[_Part | _Listed, _Part | _Listed], ...]
 
     @cached_property
     def rows(self) -> tuple[int, ...]:
         """The m rows of the binary generator matrix G, as n-bit words.
 
-        Bit j of row i is coordinate i+1 of t1 in pair j.  Since ab = b^2
-        = 0, the codeword of a message with a-part alpha is b times the
-        XOR of the rows that alpha selects.
+        Bit j of row i is coordinate i+1 of t1 in pair j.  Pairs are t1
+        major, so in block D1 x D2 each member of D1 fills len(D2)
+        consecutive bits with its own bit.  Since ab = b^2 = 0, the
+        codeword of a message with a-part alpha is b times the XOR of the
+        rows that alpha selects.
         """
-        t1_bits = [t1.bits for t1, _t2 in reversed(self.pairs)]
-        return tuple(
-            int("".join("1" if bits >> i & 1 else "0" for bits in t1_bits) or "0", 2)
-            for i in range(self.m)
-        )
+        spans = [(tuple(d1.words()), len(d2)) for d1, d2 in self.blocks]
+        rows = []
+        for i in range(self.m):
+            # the text of row i, from its highest bit (the last pair) down
+            chunks: list[str] = []
+            for words, width in reversed(spans):
+                one, zero = "1" * width, "0" * width
+                chunks += [one if x >> i & 1 else zero for x in reversed(words)]
+            rows.append(int("".join(chunks) or "0", 2))
+        return tuple(rows)
 
     @cached_property
     def mu(self) -> list[int]:
         """The column multiplicity: mu[x] pairs have t1 with bit word x.
 
-        Counted from the pairs, so GENERIC duplicates and zero members
-        count too; a list over all 2^m words, summing to n.
+        Each member of D1 adds len(D2), so GENERIC duplicates and zero
+        members count too; a list over all 2^m words, summing to n.
         """
         mu = [0] * (1 << self.m)
-        for t1, _t2 in self.pairs:
-            mu[t1.bits] += 1
+        for d1, d2 in self.blocks:
+            width = len(d2)
+            for x in d1.words():
+                mu[x] += width
+        _check(sum(mu) == len(self), "the listed members disagree with the closed-form length")
         return mu
 
+    @property
+    def pairs(self) -> Iterator[tuple[BitVector, BitVector]]:
+        """The pairs in order: the same lazy walk as iterating the set."""
+        return iter(self)
+
     def __len__(self) -> int:
-        return len(self.pairs)
+        return sum(len(d1) * len(d2) for d1, d2 in self.blocks)
 
     def __iter__(self) -> Iterator[tuple[BitVector, BitVector]]:
-        return iter(self.pairs)
+        # every member is built once per walk and shared by all its pairs;
+        # equal members pair in the order given, as a stable sort puts them
+        walk = [(_runs(d1), _runs(d2)) for d1, d2 in self.blocks]
+        for runs1, runs2 in walk:
+            for run1 in runs1:
+                for run2 in runs2:
+                    yield from itertools.product(run1, run2)
 
-    def element(self, i: int) -> RingVector:
-        """The i-th (0-based) defining element as a vector over I."""
-        t1, t2 = self.pairs[i]
-        return RingVector(self.m, t1.bits, t2.bits)
+    def word_pairs(self) -> Iterator[tuple[int, int]]:
+        """The bit words (t1, t2) of the pairs, in the same order, built
+        from the parts' words alone."""
+        for d1, d2 in self.blocks:
+            t2_words = tuple(d2.words())
+            for t1, run in itertools.groupby(d1.words()):
+                # a t1 given k times pairs k times in a row with each t2
+                copies = sum(1 for _ in run)
+                t2_run = t2_words if copies == 1 else [y for y in t2_words for _ in range(copies)]
+                yield from itertools.product((t1,), t2_run)
+
+
+def _runs(part: Iterable[BitVector]) -> list[tuple[BitVector, ...]]:
+    """A part's members grouped into runs of one bit word, in order."""
+    return [tuple(run) for _bits, run in itertools.groupby(part, key=attrgetter("bits"))]
 
 
 @dataclass(frozen=True)
@@ -240,8 +287,8 @@ class _Part:
     """One factor of a block: Delta_S, or its complement in F_2^m.
 
     len() is the closed form 2^|S| (2^m - 2^|S| for the complement), so
-    sizing a block builds no members; iterating lists the members in
-    increasing integer order.  All of F_2^m is Delta_[m].
+    sizing a block builds no members; words() and iteration list the
+    members in increasing integer order.  All of F_2^m is Delta_[m].
     """
 
     m: int
@@ -252,9 +299,36 @@ class _Part:
         size = 1 << len(self.indices)
         return size if self.inside else (1 << self.m) - size
 
+    @cached_property
+    def _complex(self) -> SimplicialComplex:
+        return complex_from_generator(self.m, self.indices)
+
+    def words(self) -> Iterator[int]:
+        complex_ = self._complex
+        return iter((complex_ if self.inside else complex_.complement()).words())
+
     def __iter__(self) -> Iterator[BitVector]:
-        complex_ = complex_from_generator(self.m, self.indices)
-        return iter(complex_.members() if self.inside else complex_.complement())
+        return (BitVector(self.m, x) for x in self.words())
+
+
+@dataclass(frozen=True)
+class _Listed:
+    """A GENERIC part: the given members, sorted stably by bit word, so
+    repeated members sit together in the order they were given."""
+
+    members: tuple[BitVector, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "members", tuple(sorted(self.members, key=attrgetter("bits"))))
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def words(self) -> Iterator[int]:
+        return (v.bits for v in self.members)
+
+    def __iter__(self) -> Iterator[BitVector]:
+        return iter(self.members)
 
 
 #: Why a variant's defining set can be empty; T1 and GENERIC never are.
@@ -266,10 +340,10 @@ _EMPTY_REASONS = {
 }
 
 
-def _blocks(spec: DefiningSetSpec) -> tuple[tuple, ...]:
+def _blocks(spec: DefiningSetSpec) -> tuple[tuple[_Part | _Listed, _Part | _Listed], ...]:
     """The blocks D1 x D2 whose products, in turn, make up the defining set."""
     if spec.variant is Variant.GENERIC:
-        return ((spec.d1, spec.d2),)
+        return ((_Listed(spec.d1), _Listed(spec.d2)),)
     m = spec.m
     delta_m, delta_n = _Part(m, spec.M), _Part(m, spec.N)
     outside_m, outside_n = _Part(m, spec.M, inside=False), _Part(m, spec.N, inside=False)
@@ -284,15 +358,12 @@ def _blocks(spec: DefiningSetSpec) -> tuple[tuple, ...]:
 
 
 def defining_set_length(spec: DefiningSetSpec) -> int:
-    """Closed-form length of the defining set, without materializing it.
+    """Closed-form length of the defining set, without building a member.
 
     Raises EmptyDefiningSetError for parameter choices whose set has no
     elements, so callers can budget (or reject) before any construction.
     """
-    length = sum(len(d1) * len(d2) for d1, d2 in _blocks(spec))
-    if length == 0:
-        raise EmptyDefiningSetError(_EMPTY_REASONS[spec.variant])
-    return length
+    return len(build_defining_set(spec))
 
 
 def check_work_budget(spec: DefiningSetSpec, work_budget: int | None) -> int:
@@ -300,7 +371,7 @@ def check_work_budget(spec: DefiningSetSpec, work_budget: int | None) -> int:
 
     Returns the closed-form defining-set length.  The estimate is the
     2^m alpha walk times the length, the same formula enumerate_code
-    enforces, checked here before any pair list is materialized.
+    enforces, checked here before any member is built.
     """
     length = defining_set_length(spec)
     budget = DEFAULT_WORK_BUDGET if work_budget is None else work_budget
@@ -311,37 +382,32 @@ def check_work_budget(spec: DefiningSetSpec, work_budget: int | None) -> int:
 
 
 def build_defining_set(spec: DefiningSetSpec) -> DefiningSet:
-    """Materialize the ordered defining set described by spec.
+    """The defining set described by spec, held as its blocks.
 
-    Each block lists its pairs lexicographically, t1 major and t2 minor,
-    with each component in increasing integer order (stably, so GENERIC
-    duplicates keep their order); T5 lists its two disjoint blocks in
-    turn (a-part outside the M-complex with free b-part, then a-part
-    inside with b-part outside the N-complex).  Each member is built once
-    and shared by every pair that uses it.
+    Its pairs are listed block by block, each block lexicographically, t1
+    major and t2 minor, with each component in increasing integer order
+    (stably, so GENERIC duplicates keep their order); T5 lists its two
+    disjoint blocks in turn (a-part outside the M-complex with free
+    b-part, then a-part inside with b-part outside the N-complex).
+    Building it lists no member: its memory is O(2^m) once mu is read,
+    and no pair is stored.
     """
-    expected = defining_set_length(spec)
-    pairs = tuple(
-        pair
-        for d1, d2 in _blocks(spec)
-        for pair in sorted(itertools.product(d1, d2), key=lambda p: (p[0].bits, p[1].bits))
-    )
-    if len(pairs) != expected:
-        raise AssertionError(
-            f"defining-set length {len(pairs)} disagrees with closed form {expected}"
-        )
-    return DefiningSet(spec.m, pairs)
+    ds = DefiningSet(spec.m, _blocks(spec))
+    if not len(ds):
+        raise EmptyDefiningSetError(_EMPTY_REASONS[spec.variant])
+    return ds
 
 
 def encode(v: RingVector, ds: DefiningSet) -> RingVector:
-    """Evaluate the codeword (v . d)_{d in D} with plain ring arithmetic.
+    """Evaluate the codeword (v . d)_{d in D} with plain ring arithmetic,
+    one coordinate per pair, walking the blocks in order.
 
     Reads no generator row, so the 4^m walk built on it is independent
     of :attr:`DefiningSet.rows`.
     """
     if v.m != ds.m:
         raise DimensionMismatchError(f"message length {v.m} != ambient {ds.m}")
-    return RingVector.from_elements([v.dot(ds.element(i)) for i in range(len(ds))])
+    return RingVector.from_elements([v.dot(RingVector(ds.m, s, t)) for s, t in ds.word_pairs()])
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,10 @@ class SimplicialComplex:
             seen.update(_subset_masks(face.bits))
         return tuple(sorted(seen))
 
+    def words(self) -> tuple[int, ...]:
+        """The members' bit words, in increasing order."""
+        return self._member_bits
+
     def members(self) -> tuple[BitVector, ...]:
         """All members, in increasing integer order of the bit word."""
         return tuple(BitVector(self.m, bits) for bits in self._member_bits)
@@ -192,11 +196,13 @@ class ComplexComplement:
     def __len__(self) -> int:
         return (1 << self.base.m) - len(self.base)
 
-    def __iter__(self) -> Iterator[BitVector]:
+    def words(self) -> Iterator[int]:
+        """The members' bit words, in increasing order, streamed."""
         inside = set(self.base._member_bits)
-        for bits in range(1 << self.base.m):
-            if bits not in inside:
-                yield BitVector(self.base.m, bits)
+        return (bits for bits in range(1 << self.base.m) if bits not in inside)
+
+    def __iter__(self) -> Iterator[BitVector]:
+        return (BitVector(self.base.m, bits) for bits in self.words())
 
     def __contains__(self, item: object) -> bool:
         if not isinstance(item, BitVector):

@@ -12,6 +12,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -64,7 +65,7 @@ def table_dot(x: str, y: str) -> str:
 def table_driven_code(ds):
     """Oracle: full 4^m message walk using the symbol tables alone."""
     m = ds.m
-    d_strings = [str(ds.element(i)) for i in range(len(ds))]
+    d_strings = [str(RingVector(ds.m, t1.bits, t2.bits)) for t1, t2 in ds]
     profile: dict[int, int] = {}
     codewords: dict[str, int] = {}
     for symbols in itertools.product("0abc", repeat=m):
@@ -243,6 +244,104 @@ def test_generic_preserves_multiset_duplicates():
     ]
 
 
+# --- the blocks against the materialized pair list ------------------------------
+
+
+def pair_list(blocks):
+    """Oracle: each block's pairs materialized and sorted stably, t1 major."""
+    return [
+        pair
+        for d1, d2 in blocks
+        for pair in sorted(itertools.product(d1, d2), key=lambda p: (p[0].bits, p[1].bits))
+    ]
+
+
+def check_blocks_against_pairs(ds, pairs, messages):
+    m = ds.m
+    keys = [(t1.bits, t2.bits) for t1, t2 in pairs]
+    assert [(t1.bits, t2.bits) for t1, t2 in ds] == keys
+    assert [(t1.bits, t2.bits) for t1, t2 in ds.pairs] == keys
+    assert len(ds) == len(pairs)
+    mu = Counter(t1.bits for t1, _t2 in pairs)
+    assert ds.mu == [mu[x] for x in range(1 << m)]
+    assert ds.rows == tuple(
+        sum((t1.bits >> i & 1) << j for j, (t1, _t2) in enumerate(pairs)) for i in range(m)
+    )
+    for v in messages:
+        expected = [v.dot(RingVector(m, t1.bits, t2.bits)) for t1, t2 in pairs]
+        assert encode(v, ds) == RingVector.from_elements(expected)
+
+
+def test_blocks_agree_with_the_pair_list_up_to_m4():
+    rng = random.Random(11)
+    for m in range(1, 5):
+        # at m = 4 one random message per set, to keep the walk short
+        full = (1 << m) - 1
+        corners = [RingVector(m, s, t) for s in (0, full) for t in (0, full)] if m < 4 else []
+        for mm, nn in itertools.product(range(1 << m), repeat=2):
+            M = frozenset(i + 1 for i in range(m) if mm >> i & 1)
+            N = frozenset(i + 1 for i in range(m) if nn >> i & 1)
+            for variant, blocks in README_BLOCKS.items():
+                pairs = pair_list(
+                    ([BitVector(m, x) for x in d1], [BitVector(m, y) for y in d2])
+                    for d1, d2 in blocks(m, M, N)
+                )
+                if not pairs:
+                    continue
+                message = RingVector(m, rng.randrange(1 << m), rng.randrange(1 << m))
+                ds = build_defining_set(spec(variant, m, M, N))
+                check_blocks_against_pairs(ds, pairs, [*corners, message])
+
+
+def test_generic_blocks_keep_the_stable_pair_order():
+    rng = random.Random(12)
+    for m in range(1, 5):
+        for _ in range(12):
+            # fresh objects, so equal members are told apart by identity
+            d1 = [BitVector(m, rng.randrange(1 << m)) for _ in range(rng.randint(1, 7))]
+            d2 = [BitVector(m, rng.randrange(1 << m)) for _ in range(rng.randint(1, 5))]
+            d1.append(BitVector(m, d1[0].bits))  # at least one repeated t1
+            d2.append(BitVector(m, d2[-1].bits))  # and one repeated t2
+            ds = build_defining_set(DefiningSetSpec(variant=Variant.GENERIC, m=m, d1=d1, d2=d2))
+            pairs = pair_list([(d1, d2)])
+            assert [(id(t1), id(t2)) for t1, t2 in ds] == [(id(t1), id(t2)) for t1, t2 in pairs]
+            messages = [
+                RingVector(m, rng.randrange(1 << m), rng.randrange(1 << m)) for _ in range(4)
+            ]
+            check_blocks_against_pairs(ds, pairs, messages)
+
+
+#: mu of each variant in closed form: (on Delta_M, off Delta_M) for |N| = b.
+MU_CLOSED_FORMS = {
+    Variant.T1: lambda m, b: (1 << b, 0),
+    Variant.T2: lambda m, b: (0, 1 << b),
+    Variant.T3: lambda m, b: ((1 << m) - (1 << b), 0),
+    Variant.T4: lambda m, b: (0, (1 << m) - (1 << b)),
+    Variant.T5: lambda m, b: ((1 << m) - (1 << b), 1 << m),
+}
+
+
+@pytest.mark.parametrize("m", range(12, 17))
+def test_blocks_scale_without_the_pairs(m):
+    # T5 at m = 12 with |M| + |N| = 3 has n = 4^12 - 8 = 16777208 pairs
+    for M, N in [({1, 2}, {3}), (set(range(2, m)), {1, m})]:
+        mask = sum(1 << (i - 1) for i in M)
+        for variant, closed_form in MU_CLOSED_FORMS.items():
+            s = spec(variant, m, M, N)
+            tracemalloc.start()
+            try:
+                ds = build_defining_set(s)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (variant, m, peak)
+            inside, outside = closed_form(m, len(N))
+            assert ds.mu == [outside if x & ~mask else inside for x in range(1 << m)]
+            assert sum(ds.mu) == len(ds) == check_work_budget(s, 1 << 64)
+    ds = build_defining_set(spec(Variant.T5, 12, {1, 2}, {3}))
+    assert len(ds) == 16777208
+
+
 def test_spec_validation():
     with pytest.raises(IndexError):
         spec(Variant.T1, 3, {4}, set())
@@ -317,7 +416,7 @@ def test_encode_b_multiples_lie_in_kernel():
 def test_encode_agrees_with_symbol_table_oracle():
     rng = random.Random(5)
     ds = build_defining_set(spec(Variant.T5, 3, {1, 3}, {2}))
-    d_strings = [str(ds.element(i)) for i in range(len(ds))]
+    d_strings = [str(RingVector(ds.m, t1.bits, t2.bits)) for t1, t2 in ds]
     for _ in range(20):
         v = RingVector(3, rng.randrange(8), rng.randrange(8))
         expected = "".join(table_dot(str(v), d) for d in d_strings)
