@@ -8,12 +8,13 @@ Delta_N (the vectors supported inside M or N) or their complements in
 F_2^m; T5, the complement in I^m of the T1 set, has two disjoint ones;
 GENERIC has one, of its given lists.  Each part lists its members once,
 in increasing order, and has a closed-form size, so lengths, budgets and
-empty-set errors build no members, and a set's memory is O(2^m) whatever
-n is.  The pairs are ordered block by block, t1 major, and are listed
-only when something walks them (:func:`encode`).  The code is the image
-of the evaluation map v -> (v . d)_{d in D} over all messages v in I^m;
-because b kills every product, a codeword depends only on the a-part
-alpha of the message: the code is b times the row space of one m x n
+empty-set errors build no members; the blocks and mu take O(2^m) memory
+whatever n is, and the rows, cached once read, add m*n bits.  The pairs
+are ordered block by block, t1 major, and are listed only when something
+walks them (:func:`encode`).  The code is the image of the evaluation
+map v -> (v . d)_{d in D} over all messages v in I^m; because b kills
+every product, a codeword depends only on the a-part alpha of the
+message: the code is b times the row space of one m x n
 binary generator matrix (:attr:`DefiningSet.rows`), whose columns are
 the t1 parts.  So the code is fixed by the column multiplicity
 mu(x) = #{d : t1(d) = x} (:attr:`DefiningSet.mu`), and the Lee weight of
@@ -203,10 +204,10 @@ class DefiningSet:
     Each pair (t1, t2) of a block stands for a*t1 + b*t2.  A part lists
     its members once, in increasing order of the bit word (a GENERIC
     part keeps its repeated members together, as runs, in the order they
-    were given), so the set holds nothing of size n: its length is the
-    closed form, and mu and the rows are read off the blocks.  The pairs
-    are listed block by block, t1 major and t2 minor, only when the set
-    is walked.
+    were given), so the set holds nothing of size n until its rows are
+    read: its length is the closed form, and mu and the rows are read
+    off the blocks.  The pairs are listed block by block, t1 major and
+    t2 minor, only when the set is walked.
     """
 
     m: int
@@ -257,29 +258,32 @@ class DefiningSet:
         return sum(len(d1) * len(d2) for d1, d2 in self.blocks)
 
     def __iter__(self) -> Iterator[tuple[BitVector, BitVector]]:
-        # every member is built once per walk and shared by all its pairs;
-        # equal members pair in the order given, as a stable sort puts them
-        walk = [(_runs(d1), _runs(d2)) for d1, d2 in self.blocks]
-        for runs1, runs2 in walk:
-            for run1 in runs1:
-                for run2 in runs2:
-                    yield from itertools.product(run1, run2)
+        # one object per member of each part, built once per walk and
+        # shared by all its pairs
+        members = [
+            [{x: BitVector(self.m, x) for x in part.words()} for part in block]
+            for block in self.blocks
+        ]
+        for (t1s, t2s), block in zip(members, self.blocks):
+            for s, t in _block_word_pairs(*block):
+                yield t1s[s], t2s[t]
 
     def word_pairs(self) -> Iterator[tuple[int, int]]:
         """The bit words (t1, t2) of the pairs, in the same order, built
         from the parts' words alone."""
         for d1, d2 in self.blocks:
-            t2_words = tuple(d2.words())
-            for t1, run in itertools.groupby(d1.words()):
-                # a t1 given k times pairs k times in a row with each t2
-                copies = sum(1 for _ in run)
-                t2_run = t2_words if copies == 1 else [y for y in t2_words for _ in range(copies)]
-                yield from itertools.product((t1,), t2_run)
+            yield from _block_word_pairs(d1, d2)
 
 
-def _runs(part: Iterable[BitVector]) -> list[tuple[BitVector, ...]]:
-    """A part's members grouped into runs of one bit word, in order."""
-    return [tuple(run) for _bits, run in itertools.groupby(part, key=attrgetter("bits"))]
+def _block_word_pairs(d1: _Part | _Listed, d2: _Part | _Listed) -> Iterator[tuple[int, int]]:
+    """The bit words (t1, t2) of block D1 x D2, t1 major and t2 minor;
+    equal members pair in the order given, as a stable sort puts them."""
+    t2_words = tuple(d2.words())
+    for t1, run in itertools.groupby(d1.words()):
+        # a t1 given k times pairs k times in a row with each t2
+        copies = sum(1 for _ in run)
+        t2_run = t2_words if copies == 1 else [y for y in t2_words for _ in range(copies)]
+        yield from itertools.product((t1,), t2_run)
 
 
 @dataclass(frozen=True)
@@ -287,8 +291,8 @@ class _Part:
     """One factor of a block: Delta_S, or its complement in F_2^m.
 
     len() is the closed form 2^|S| (2^m - 2^|S| for the complement), so
-    sizing a block builds no members; words() and iteration list the
-    members in increasing integer order.  All of F_2^m is Delta_[m].
+    sizing a block builds no members; words() lists the members in
+    increasing integer order.  All of F_2^m is Delta_[m].
     """
 
     m: int
@@ -307,9 +311,6 @@ class _Part:
         complex_ = self._complex
         return iter((complex_ if self.inside else complex_.complement()).words())
 
-    def __iter__(self) -> Iterator[BitVector]:
-        return (BitVector(self.m, x) for x in self.words())
-
 
 @dataclass(frozen=True)
 class _Listed:
@@ -326,9 +327,6 @@ class _Listed:
 
     def words(self) -> Iterator[int]:
         return (v.bits for v in self.members)
-
-    def __iter__(self) -> Iterator[BitVector]:
-        return iter(self.members)
 
 
 #: Why a variant's defining set can be empty; T1 and GENERIC never are.
@@ -389,8 +387,8 @@ def build_defining_set(spec: DefiningSetSpec) -> DefiningSet:
     (stably, so GENERIC duplicates keep their order); T5 lists its two
     disjoint blocks in turn (a-part outside the M-complex with free
     b-part, then a-part inside with b-part outside the N-complex).
-    Building it lists no member: its memory is O(2^m) once mu is read,
-    and no pair is stored.
+    Building it lists no member and no pair is stored: the set takes
+    O(2^m) memory once mu is read, and m*n bits more once rows is read.
     """
     ds = DefiningSet(spec.m, _blocks(spec))
     if not len(ds):
