@@ -9,7 +9,7 @@ verdict, the closed-form optimality predictor for T2 parameters, and the
 replicated-simplex structure check for 1-weight codes), and ``analyze``,
 the one per-code entry point that builds, enumerates, certifies and compares
 each closed-form fact once.  The certificates read no codeword list:
-they work on the image's :attr:`~icodes.construction.CodeTable.basis`,
+they work on the image's :attr:`~icodes.construction.CodeTable.rows`,
 the canonical reduced echelon basis every table is reduced to once, on
 construction (for an enumerated code, from its m generator rows).
 Minimality is decided on the distinct nonzero columns of that basis, the
@@ -38,9 +38,9 @@ from .construction import (
     CodeTable,
     DefiningSetSpec,
     Variant,
+    _combine,
     binary_params,
     build_defining_set,
-    check_work_budget,
     enumerate_code,
     gray_image,
     weight_enumerator,
@@ -227,9 +227,9 @@ def is_self_orthogonal(table: CodeTable) -> OrthogonalityFinding:
     of codewords exactly.
     """
     _require_binary(table)
-    basis = table.basis
-    for i, u in enumerate(basis):
-        for v in basis[i:]:
+    rows = table.rows
+    for i, u in enumerate(rows):
+        for v in rows[i:]:
             if (u & v).bit_count() & 1:
                 return OrthogonalityFinding(False, (u, v), "spanning-basis")
     return OrthogonalityFinding(True, None, "spanning-basis")
@@ -256,9 +256,9 @@ def is_minimal_exhaustive(table: CodeTable) -> MinimalityFinding:
     """No nonzero codeword's support may contain another's.
 
     Decided on the points of the code, the distinct nonzero columns S of
-    its basis (cutting blocking sets: Alfarano, Borello and Neri, Adv.
+    its rows (cutting blocking sets: Alfarano, Borello and Neri, Adv.
     Math. Commun. 16 (2022); Tang, Qiu, Liao and Zhou, IEEE Trans. Inf.
-    Theory 67(6) (2021)).  The table's basis is in reduced echelon form,
+    Theory 67(6) (2021)).  The table's rows are in reduced echelon form,
     so x in F_2^k selects the x-th smallest codeword u_x, whose support
     is the coordinates whose column p has odd x . p.  u_x is covered iff
     some nonzero codeword avoids its support, iff the points off the
@@ -268,7 +268,7 @@ def is_minimal_exhaustive(table: CodeTable) -> MinimalityFinding:
     order (the table order), and only those two words are built.
     """
     _require_binary(table)
-    rows = table.basis
+    rows = table.rows
     k = len(rows)
     points = sorted(_column_counts(rows, table.length))
     random.Random(_POINT_ORDER_SEED).shuffle(points)
@@ -283,11 +283,21 @@ def is_minimal_exhaustive(table: CodeTable) -> MinimalityFinding:
     return MinimalityFinding(True, None)
 
 
+#: Coordinates per slice in :func:`_column_counts`.
+_COLUMN_SLICE = 16384
+
+
 def _column_counts(rows: tuple[int, ...], length: int) -> Counter[int]:
     """How often each nonzero column of the matrix with these rows occurs;
-    a column is a word whose bit i is its entry in row i."""
-    texts = [format(row, f"0{length}b") for row in rows]
-    counts = Counter(map("".join, zip(*texts)))
+    a column is a word whose bit i is its entry in row i.  The columns are
+    read _COLUMN_SLICE coordinates at a time, so the text held is k
+    slices, not k rows of the whole length."""
+    counts: Counter[str] = Counter()
+    for start in range(0, length, _COLUMN_SLICE):
+        width = min(_COLUMN_SLICE, length - start)
+        mask = (1 << width) - 1
+        texts = [format(row >> start & mask, f"0{width}b") for row in rows]
+        counts.update(map("".join, zip(*texts)))
     return Counter({int(column[::-1], 2): n for column, n in counts.items() if "1" in column})
 
 
@@ -309,15 +319,6 @@ def _spans_off_hyperplane(points: list[int], x: int, k: int) -> bool:
                         return True
                     break
     return False
-
-
-def _combine(rows: tuple[int, ...], x: int) -> int:
-    """The XOR of the rows that x selects."""
-    word = 0
-    for i, row in enumerate(rows):
-        if x >> i & 1:
-            word ^= row
-    return word
 
 
 @dataclass(frozen=True)
@@ -432,7 +433,7 @@ class SimplexFinding:
 def simplex_structure(table: CodeTable) -> SimplexFinding:
     """Decompose a 1-weight binary code as a replicated simplex code.
 
-    Drops identically-zero coordinates, takes the table's basis as the
+    Drops identically-zero coordinates, takes the table's rows as the
     generator matrix, and demands that the remaining columns form r
     copies of every nonzero vector of F_2^k, with the common weight equal
     to r * 2^(k-1).
@@ -442,8 +443,8 @@ def simplex_structure(table: CodeTable) -> SimplexFinding:
     if len(nonzero_weights) != 1:
         raise ValueError("not a 1-weight code")
     common = nonzero_weights[0]
-    k = len(table.basis)
-    columns = _column_counts(table.basis, table.length)
+    k = len(table.rows)
+    columns = _column_counts(table.rows, table.length)
     zero_columns = table.length - sum(columns.values())
     replication, remainder = divmod(table.length - zero_columns, (1 << k) - 1)
     ok = (
@@ -580,7 +581,6 @@ def analyze(
     )
 
     try:
-        check_work_budget(spec, work_budget)
         ds = build_defining_set(spec)
     except EmptyDefiningSetError as exc:
         prediction_match, diffs = _expectation_diffs(pred, {}, requested)

@@ -37,7 +37,6 @@ from .construction import (
     Variant,
     binary_params,
     build_defining_set,
-    check_work_budget,
     enumerate_code,
     gray_image,
     weight_enumerator,
@@ -187,17 +186,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_analyze = sub.add_parser("analyze", help="full certification report")
+    # the code flags default to None, meaning not given: --config takes --budget only
     p_analyze.add_argument("--variant", help="T1..T5")
     p_analyze.add_argument("--m", type=int)
-    p_analyze.add_argument("--M", default="")
-    p_analyze.add_argument("--N", default="")
-    p_analyze.add_argument("--format", choices=("text", "json"), default="text")
+    p_analyze.add_argument("--M")
+    p_analyze.add_argument("--N")
+    p_analyze.add_argument("--format", choices=("text", "json"))
     p_analyze.add_argument("--budget", type=int, default=None)
     p_analyze.add_argument(
         "--analyses", default=None,
         help=f"comma-separated subset of {','.join(ALL_ANALYSES)}",
     )
-    p_analyze.add_argument("--config", default=None, help="batch config JSON path")
+    p_analyze.add_argument(
+        "--config", default=None,
+        help="batch config JSON path; combines with --budget only",
+    )
 
     p_verify = sub.add_parser(
         "verify", help="sweep (M, N) pairs and compare with the closed forms"
@@ -290,7 +293,6 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
     spec = _spec_from_args(args)
     budget = _effective_budget(args.budget)
     try:
-        check_work_budget(spec, budget)
         ds = build_defining_set(spec)
     except EmptyDefiningSetError as exc:
         if args.format == "json":
@@ -432,9 +434,16 @@ def _summary_table(reports: Sequence[AnalysisReport], out) -> None:
         )
 
 
+#: The analyze flags that a config file replaces.
+_CONFIG_FLAGS = ("variant", "m", "M", "N", "analyses", "format")
+
+
 def cmd_analyze(args: argparse.Namespace, out) -> int:
     budget = _effective_budget(args.budget)
     if args.config:
+        given = [f"--{name}" for name in _CONFIG_FLAGS if getattr(args, name) is not None]
+        if given:
+            raise UsageError(f"--config cannot be combined with {', '.join(given)}")
         config = ExperimentConfig.load(args.config)
         specs = config.jobs
         analyses_list = config.analyses
@@ -450,7 +459,7 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
             text = args.analyses.strip()
             requested = tuple(part.strip() for part in text.split(",")) if text else ()
         analyses_list = [requested]
-        fmt = args.format
+        fmt = args.format or "text"
 
     reports = []
     for spec, requested in zip(specs, analyses_list):

@@ -7,11 +7,13 @@ each variant's blocks.  T1..T4 have one, whose parts are Delta_M or
 Delta_N (the vectors supported inside M or N) or their complements in
 F_2^m; T5, the complement in I^m of the T1 set, has two disjoint ones;
 GENERIC has one, of its given lists.  Each part lists its members once,
-in increasing order, and has a closed-form size, so lengths, budgets and
-empty-set errors build no members; the blocks and mu take O(2^m) memory
-whatever n is, and the rows, cached once read, add m*n bits.  The pairs
-are ordered block by block, t1 major, and are listed only when something
-walks them (:func:`encode`).  The code is the image of the evaluation
+in increasing order, and has a closed-form size, so lengths and
+empty-set errors build no members, and :func:`enumerate_code`, the one
+place that charges the work budget, charges it before anything is read;
+the blocks and mu take O(2^m) memory whatever n is, and the rows, cached
+once read, add m*n bits.  The pairs are ordered block by block, t1
+major, and are listed only when :meth:`DefiningSet.word_pairs` walks
+them (for :func:`encode`).  The code is the image of the evaluation
 map v -> (v . d)_{d in D} over all messages v in I^m; because b kills
 every product, a codeword depends only on the a-part alpha of the
 message: the code is b times the row space of one m x n
@@ -64,6 +66,9 @@ DEFAULT_WORK_BUDGET = 1 << 32
 
 #: Hex digit s_i + 2*t_i (a vector's two 0/1 texts read as hex) to its symbol.
 _SYMBOL_OF_DIGIT = str.maketrans("0123", "".join(SYMBOLS))
+#: A symbol to its s bit, and to its t bit, as 0/1 text.
+_S_BIT_OF_SYMBOL = str.maketrans("".join(SYMBOLS), "0101")
+_T_BIT_OF_SYMBOL = str.maketrans("".join(SYMBOLS), "0011")
 
 
 class Variant(str, Enum):
@@ -103,11 +108,13 @@ class RingVector:
 
     @classmethod
     def from_elements(cls, elements: Sequence[RingElement]) -> RingVector:
-        s_word = t_word = 0
-        for i, x in enumerate(elements):
-            s_word |= x.s << i
-            t_word |= x.t << i
-        return cls(len(elements), s_word, t_word)
+        # one text of symbols, last coordinate (the highest bit) first
+        text = "".join([x.symbol for x in reversed(elements)]) or "0"
+        return cls(
+            len(elements),
+            int(text.translate(_S_BIT_OF_SYMBOL), 2),
+            int(text.translate(_T_BIT_OF_SYMBOL), 2),
+        )
 
     @classmethod
     def from_string(cls, text: str) -> RingVector:
@@ -207,7 +214,7 @@ class DefiningSet:
     were given), so the set holds nothing of size n until its rows are
     read: its length is the closed form, and mu and the rows are read
     off the blocks.  The pairs are listed block by block, t1 major and
-    t2 minor, only when the set is walked.
+    t2 minor, only when :meth:`word_pairs` walks them.
     """
 
     m: int
@@ -251,39 +258,24 @@ class DefiningSet:
 
     @property
     def pairs(self) -> Iterator[tuple[BitVector, BitVector]]:
-        """The pairs in order: the same lazy walk as iterating the set."""
-        return iter(self)
+        """The pairs in order, as bit vectors: :meth:`word_pairs` wrapped."""
+        m = self.m
+        return ((BitVector(m, s), BitVector(m, t)) for s, t in self.word_pairs())
 
     def __len__(self) -> int:
         return sum(len(d1) * len(d2) for d1, d2 in self.blocks)
 
-    def __iter__(self) -> Iterator[tuple[BitVector, BitVector]]:
-        # one object per member of each part, built once per walk and
-        # shared by all its pairs
-        members = [
-            [{x: BitVector(self.m, x) for x in part.words()} for part in block]
-            for block in self.blocks
-        ]
-        for (t1s, t2s), block in zip(members, self.blocks):
-            for s, t in _block_word_pairs(*block):
-                yield t1s[s], t2s[t]
-
     def word_pairs(self) -> Iterator[tuple[int, int]]:
-        """The bit words (t1, t2) of the pairs, in the same order, built
-        from the parts' words alone."""
+        """The bit words (t1, t2) of the pairs, block by block, t1 major
+        and t2 minor; equal members pair in the order given, as a stable
+        sort puts them."""
         for d1, d2 in self.blocks:
-            yield from _block_word_pairs(d1, d2)
-
-
-def _block_word_pairs(d1: _Part | _Listed, d2: _Part | _Listed) -> Iterator[tuple[int, int]]:
-    """The bit words (t1, t2) of block D1 x D2, t1 major and t2 minor;
-    equal members pair in the order given, as a stable sort puts them."""
-    t2_words = tuple(d2.words())
-    for t1, run in itertools.groupby(d1.words()):
-        # a t1 given k times pairs k times in a row with each t2
-        copies = sum(1 for _ in run)
-        t2_run = t2_words if copies == 1 else [y for y in t2_words for _ in range(copies)]
-        yield from itertools.product((t1,), t2_run)
+            t2_words = tuple(d2.words())
+            for t1, run in itertools.groupby(d1.words()):
+                # a t1 given k times pairs k times in a row with each t2
+                copies = sum(1 for _ in run)
+                t2_run = t2_words if copies == 1 else [y for y in t2_words for _ in range(copies)]
+                yield from itertools.product((t1,), t2_run)
 
 
 @dataclass(frozen=True)
@@ -359,24 +351,9 @@ def defining_set_length(spec: DefiningSetSpec) -> int:
     """Closed-form length of the defining set, without building a member.
 
     Raises EmptyDefiningSetError for parameter choices whose set has no
-    elements, so callers can budget (or reject) before any construction.
+    elements.
     """
     return len(build_defining_set(spec))
-
-
-def check_work_budget(spec: DefiningSetSpec, work_budget: int | None) -> int:
-    """Estimate enumeration work for spec and enforce the budget.
-
-    Returns the closed-form defining-set length.  The estimate is the
-    2^m alpha walk times the length, the same formula enumerate_code
-    enforces, checked here before any member is built.
-    """
-    length = defining_set_length(spec)
-    budget = DEFAULT_WORK_BUDGET if work_budget is None else work_budget
-    work = (1 << spec.m) * max(length, 1)
-    if work > budget:
-        raise BudgetExceededError(work, budget, "code enumeration")
-    return length
 
 
 def build_defining_set(spec: DefiningSetSpec) -> DefiningSet:
@@ -462,12 +439,6 @@ class CodeTable:
         )
 
     @property
-    def basis(self) -> tuple[int, ...]:
-        """The rows: the reduced echelon basis of the code, by increasing
-        leading bit."""
-        return self.rows
-
-    @property
     def message_profile(self) -> dict[int, int]:
         """Messages per weight, in increasing weight order: each codeword
         is the image of kernel_size messages."""
@@ -533,6 +504,15 @@ def _reduced_echelon(words: Iterable[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _combine(rows: Sequence[int], x: int) -> int:
+    """The XOR of the rows that x selects: bit i of x selects row i."""
+    word = 0
+    for i, row in enumerate(rows):
+        if x >> i & 1:
+            word ^= row
+    return word
+
+
 def _sample_messages(m: int, count: int, seed: int) -> list[RingVector]:
     """Deterministic spot-check messages: structured corners plus randoms."""
     full = (1 << m) - 1
@@ -565,6 +545,9 @@ def enumerate_code(
     arithmetic everywhere and reads no row: its distinct words are the
     table's rows, so a word set that is not a subspace fails the table's
     rank law, and the message profile it counts must be the derived one.
+    The work, the a-parts walked (2^m, or 4^m messages for the plain
+    walk) times max(n, 1), is charged against work_budget before mu or
+    the rows are read; no other function charges it.
     """
     m, n = ds.m, len(ds)
     budget = DEFAULT_WORK_BUDGET if work_budget is None else work_budget
@@ -604,10 +587,7 @@ def enumerate_code(
         rows = ds.rows
         if agreement_samples > 0:
             for v in _sample_messages(m, agreement_samples, seed=m * 0x9E3779B1 ^ n):
-                word = 0
-                for i, row in enumerate(rows):
-                    if v.s_word >> i & 1:
-                        word ^= row
+                word = _combine(rows, v.s_word)
                 _check(
                     encode(v, ds) == RingVector(n, 0, word),
                     "ring-arithmetic evaluation disagrees with the reduced form b*(alpha.t1)",
@@ -683,7 +663,7 @@ def binary_params(table: CodeTable) -> CodeParams:
     """[n, k, d] of a binary table, k its rank."""
     if table.alphabet is not Alphabet.BINARY:
         raise ValueError("binary_params expects a binary-alphabet code")
-    return CodeParams(table.length, len(table.basis), table.min_nonzero_weight())
+    return CodeParams(table.length, len(table.rows), table.min_nonzero_weight())
 
 
 def weight_enumerator(table: CodeTable) -> str:

@@ -5,6 +5,7 @@ import io
 import json
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -505,6 +506,37 @@ def test_analyze_eliminates_each_image_once(monkeypatch):
         # only the m rows are eliminated, once each: the code's generator
         # rows, and the images of its basis, which are the image's basis
         assert sorted(calls) == sorted([ds.rows, image.rows])
+
+
+def test_analyze_builds_the_defining_set_once(monkeypatch):
+    calls = []
+    blocks = construction._blocks
+    monkeypatch.setattr(construction, "_blocks", lambda s: calls.append(s) or blocks(s))
+    s = spec(Variant.T2, 5, {1, 2, 3}, {4})
+    assert analyze(s).prediction_diffs == ()
+    assert calls == [s]
+
+
+@pytest.mark.parametrize(
+    "length",
+    [
+        analysis._COLUMN_SLICE - 1,
+        analysis._COLUMN_SLICE,
+        analysis._COLUMN_SLICE + 1,
+        2 * analysis._COLUMN_SLICE + 3,
+    ],
+)
+def test_column_counts_agree_across_slice_boundaries(length):
+    rng = random.Random(length)
+    rows = tuple(rng.getrandbits(length) for _ in range(5))
+    expected = Counter()
+    for j in range(length):
+        column = sum((row >> j & 1) << i for i, row in enumerate(rows))
+        if column:
+            expected[column] += 1
+    assert sum(expected.values()) < length  # some zero columns are dropped
+    assert analysis._column_counts(rows, length) == expected
+    assert analysis._column_counts((), length) == Counter()
 
 
 def test_analyze_builds_no_codeword_list(monkeypatch):

@@ -11,7 +11,7 @@ from typing import Iterator
 
 import pytest
 
-from icodes import cli
+from icodes import cli, construction
 from icodes.analysis import ALL_ANALYSES
 from icodes.cli import main, parse_m_range, parse_subset, parse_variants, UsageError
 from icodes.ring import ELEMENTS
@@ -115,11 +115,35 @@ def test_construct_invalid_subset_is_usage_error():
     assert code == 2
 
 
-def test_construct_budget_exceeded():
-    code, _ = run(
-        ["construct", "--variant", "T1", "--m", "4", "--M", "1,2", "--N", "3,4", "--budget", "8"]
-    )
+BUDGET_MESSAGE = "code enumeration requires ~256 elementary operations, over the budget of 8"
+
+
+@pytest.mark.parametrize("command", ["construct", "analyze", "verify"])
+def test_budget_exceeded_is_reported_once(command, capsys):
+    # T1 m=4 with |M| + |N| = 4 has n = 16, charged 2^4 * 16 = 256; verify's
+    # first pair (M = N = {}) has n = 1, charged 16
+    if command == "verify":
+        argv = ["verify", "--m", "4", "--variants", "T1", "--budget", "8"]
+    else:
+        argv = [command, "--variant", "T1", "--m", "4", "--M", "1,2", "--N", "3,4", "--budget", "8"]
+    code, out = run(argv)
+    err = capsys.readouterr().err
     assert code == 3
+    if command == "verify":
+        # verify flushes its partial summary, which ends with the one budget line
+        message = BUDGET_MESSAGE.replace("~256", "~16")
+        assert err == "" and out.splitlines()[-1] == f"stopped early: {message}"
+        assert out.count("budget") == 1
+    else:
+        assert (out, err) == ("", f"error: {BUDGET_MESSAGE}\n")
+
+
+def test_construct_builds_the_defining_set_once(monkeypatch):
+    calls = []
+    blocks = construction._blocks
+    monkeypatch.setattr(construction, "_blocks", lambda s: calls.append(s) or blocks(s))
+    code, _ = run(["construct", "--variant", "T2", "--m", "5", "--M", "1,2,3", "--N", "4"])
+    assert code == 0 and len(calls) == 1
 
 
 DUMPS = ("--dump-ring-codewords", "--dump-gray-codewords")
@@ -387,6 +411,41 @@ def test_analyze_config_checks_analyses_before_any_job_runs(
     assert run(["analyze", "--config", str(path)]) == (2, "")
     assert capsys.readouterr().err == f"error: config job 1: {message}\n"
     assert ran == []
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--variant", "T5"], "--variant"),
+        (["--m", "9"], "--m"),
+        (["--M", "1,2"], "--M"),
+        (["--N", ""], "--N"),
+        (["--analyses", "bogus"], "--analyses"),
+        (["--format", "text"], "--format"),
+        (
+            ["--format", "json", "--variant", "T5", "--m", "9", "--analyses", "bogus"],
+            "--variant, --m, --analyses, --format",
+        ),
+    ],
+    ids=["variant", "m", "M", "empty-N", "analyses", "format", "several"],
+)
+def test_analyze_config_refuses_the_code_flags(flags, named, tmp_path: Path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "analyze", lambda spec, **kwargs: ran.append(spec))
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps({"jobs": [{"variant": "T1", "m": 2}]}), encoding="utf-8")
+    assert run(["analyze", "--config", str(path), *flags]) == (2, "")
+    assert capsys.readouterr().err == f"error: --config cannot be combined with {named}\n"
+    assert ran == []
+
+
+def test_analyze_config_takes_the_budget_flag(tmp_path: Path, capsys):
+    path = tmp_path / "jobs.json"
+    config = {"work_budget": 1 << 20, "jobs": [{"variant": "T1", "m": 4, "M": [1, 2], "N": [3, 4]}]}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(["analyze", "--config", str(path)])[0] == 0
+    assert run(["analyze", "--config", str(path), "--budget", "8"]) == (3, "")
+    assert capsys.readouterr().err == f"error: {BUDGET_MESSAGE}\n"
 
 
 @pytest.mark.parametrize("budget", ["-5", "0"])

@@ -31,7 +31,7 @@ from icodes import (
     Variant,
     binary_params,
     build_defining_set,
-    check_work_budget,
+    defining_set_length,
     encode,
     enumerate_code,
     gray_image,
@@ -65,7 +65,7 @@ def table_dot(x: str, y: str) -> str:
 def table_driven_code(ds):
     """Oracle: full 4^m message walk using the symbol tables alone."""
     m = ds.m
-    d_strings = [str(RingVector(ds.m, t1.bits, t2.bits)) for t1, t2 in ds]
+    d_strings = [str(RingVector(ds.m, t1, t2)) for t1, t2 in ds.word_pairs()]
     profile: dict[int, int] = {}
     codewords: dict[str, int] = {}
     for symbols in itertools.product("0abc", repeat=m):
@@ -86,7 +86,7 @@ def spec(variant, m, M=(), N=()):
 
 def test_t1_small_example_pairs_in_order():
     ds = build_defining_set(spec(Variant.T1, 2, {1}, {2}))
-    rendered = [(str(t1), str(t2)) for t1, t2 in ds]
+    rendered = [(str(t1), str(t2)) for t1, t2 in ds.pairs]
     assert rendered == [("00", "00"), ("00", "01"), ("10", "00"), ("10", "01")]
     assert len(ds) == 4
 
@@ -120,7 +120,7 @@ def test_t4_and_t5_reference_lengths():
 
 def test_pairs_are_lexicographic_t1_major():
     ds = build_defining_set(spec(Variant.T2, 3, {1}, {2, 3}))
-    keys = [(t1.bits, t2.bits) for t1, t2 in ds]
+    keys = list(ds.word_pairs())
     assert keys == sorted(keys)
 
 
@@ -170,8 +170,8 @@ def test_pair_sequences_follow_the_readme_table():
                     empty_seen.add((variant, len(M) == m, len(N) == m))
                     continue
                 ds = build_defining_set(spec(variant, m, M, N))
-                assert [(t1.bits, t2.bits) for t1, t2 in ds] == expected
-                assert all(t1.m == t2.m == m for t1, t2 in ds)
+                assert [(t1.bits, t2.bits) for t1, t2 in ds.pairs] == expected
+                assert all(t1.m == t2.m == m for t1, t2 in ds.pairs)
     assert empty_seen == {
         (Variant.T2, True, False), (Variant.T2, True, True),
         (Variant.T3, False, True), (Variant.T3, True, True),
@@ -180,31 +180,20 @@ def test_pair_sequences_follow_the_readme_table():
     }
 
 
-def test_pairs_share_one_object_per_member():
-    ds = build_defining_set(spec(Variant.T5, 7, {1, 2, 3}, {4, 5, 6}))
-    assert len(ds) == 128 * 128 - 64
-    # D1 parts: 120 outside the M-complex, 8 inside; D2 parts: all 128, 120 outside.
-    assert len({id(v) for pair in ds for v in pair}) == 120 + 128 + 8 + 120
-
-
 def test_budget_check_builds_no_members(monkeypatch):
     def refuse(*args):
         raise AssertionError("the budget check built a member list")
 
     monkeypatch.setattr(construction, "complex_from_generator", refuse)
     with pytest.raises(BudgetExceededError):
-        check_work_budget(spec(Variant.T2, 24, {1}), None)
+        enumerate_code(build_defining_set(spec(Variant.T2, 24, {1})))
 
 
 def test_t5_blocks_partition_the_complement():
     m = 3
     M, N = {1, 2}, {3}
-    t1_pairs = {
-        (t1.bits, t2.bits) for t1, t2 in build_defining_set(spec(Variant.T1, m, M, N))
-    }
-    t5_list = [
-        (t1.bits, t2.bits) for t1, t2 in build_defining_set(spec(Variant.T5, m, M, N))
-    ]
+    t1_pairs = set(build_defining_set(spec(Variant.T1, m, M, N)).word_pairs())
+    t5_list = list(build_defining_set(spec(Variant.T5, m, M, N)).word_pairs())
     assert len(set(t5_list)) == len(t5_list)  # blocks are disjoint
     everything = {(x, y) for x in range(1 << m) for y in range(1 << m)}
     assert set(t5_list) | t1_pairs == everything
@@ -234,12 +223,12 @@ def test_generic_preserves_multiset_duplicates():
         DefiningSetSpec(variant=Variant.GENERIC, m=2, d1=(v, v), d2=(w,))
     )
     assert len(ds) == 2
-    assert [(t1.bits, t2.bits) for t1, t2 in ds] == [(1, 2), (1, 2)]
+    assert list(ds.word_pairs()) == [(1, 2), (1, 2)]
     # a repeated t1 lists all its pairs together, in lexicographic order
     ds = build_defining_set(
         DefiningSetSpec(variant=Variant.GENERIC, m=2, d1=(w, v, w), d2=(w, v))
     )
-    assert [(t1.bits, t2.bits) for t1, t2 in ds] == [
+    assert list(ds.word_pairs()) == [
         (1, 1), (1, 2), (2, 1), (2, 1), (2, 2), (2, 2),
     ]
 
@@ -259,7 +248,7 @@ def pair_list(blocks):
 def check_blocks_against_pairs(ds, pairs, messages):
     m = ds.m
     keys = [(t1.bits, t2.bits) for t1, t2 in pairs]
-    assert [(t1.bits, t2.bits) for t1, t2 in ds] == keys
+    assert list(ds.word_pairs()) == keys
     assert [(t1.bits, t2.bits) for t1, t2 in ds.pairs] == keys
     assert len(ds) == len(pairs)
     mu = Counter(t1.bits for t1, _t2 in pairs)
@@ -335,7 +324,7 @@ def test_blocks_scale_without_the_pairs(m):
             assert peak < 1 << 20, (variant, m, peak)
             inside, outside = closed_form(m, len(N))
             assert ds.mu == [outside if x & ~mask else inside for x in range(1 << m)]
-            assert sum(ds.mu) == len(ds) == check_work_budget(s, 1 << 64)
+            assert sum(ds.mu) == len(ds) == defining_set_length(s)
     ds = build_defining_set(spec(Variant.T5, 12, {1, 2}, {3}))
     assert len(ds) == 16777208
 
@@ -384,6 +373,17 @@ def test_ring_vector_round_trip_and_weight():
         assert RingVector.from_string(str(w)) == w
 
 
+def test_from_elements_reads_back_each_coordinate():
+    rng = random.Random(77)
+    for length in (65, 127, 128, 129, 1000, 4099):
+        elements = [rng.choice(ELEMENTS) for _ in range(length)]
+        v = RingVector.from_elements(elements)
+        assert v.m == length
+        assert [v.element(i) for i in range(1, length + 1)] == elements
+    with pytest.raises(ValueError, match="length must be positive"):
+        RingVector.from_elements([])
+
+
 def test_ring_vector_gray_blocks():
     # "ab": t-part is 01 (bit 1), s+t part is 11 (bits 2 and 3)
     v = RingVector.from_string("ab")
@@ -414,7 +414,7 @@ def test_encode_b_multiples_lie_in_kernel():
 def test_encode_agrees_with_symbol_table_oracle():
     rng = random.Random(5)
     ds = build_defining_set(spec(Variant.T5, 3, {1, 3}, {2}))
-    d_strings = [str(RingVector(ds.m, t1.bits, t2.bits)) for t1, t2 in ds]
+    d_strings = [str(RingVector(ds.m, t1, t2)) for t1, t2 in ds.word_pairs()]
     for _ in range(20):
         v = RingVector(3, rng.randrange(8), rng.randrange(8))
         expected = "".join(table_dot(str(v), d) for d in d_strings)
@@ -499,7 +499,7 @@ def check_transform_table(ds, walk):
     table = enumerate_code(ds, agreement_samples=0)
     mu_hat = list(ds.mu)
     walsh_hadamard(mu_hat)
-    points = [t1 for t1, _t2 in ds]
+    points = [t1 for t1, _t2 in ds.pairs]
     words = [0]
     for row in ds.rows:
         words += [w ^ row for w in words]
@@ -510,7 +510,7 @@ def check_transform_table(ds, walk):
     profile = {w: count << m for w, count in Counter(2 * w.bit_count() for w in words).items()}
     facts = (distribution, profile, words.count(0) << m, len(gf2_basis(words)))
     assert (table.weight_distribution, table.message_profile, table.kernel_size,
-            len(table.basis)) == facts, ds
+            len(table.rows)) == facts, ds
     assert [cw.t_word for cw in table.codewords] == sorted(set(words))
     assert not any(cw.s_word for cw in table.codewords)
     if walk:
