@@ -241,6 +241,13 @@ def _effective_budget(flag_value: int | None) -> int | None:
     return None
 
 
+def _budget_error(exc: BudgetExceededError) -> int:
+    """Report a budget refusal as its one stderr line; a command that stopped
+    early writes what it finished to stdout first."""
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_BUDGET
+
+
 _ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 
 
@@ -462,6 +469,7 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
         fmt = args.format or "text"
 
     reports = []
+    budget_hit: BudgetExceededError | None = None
     for spec, requested in zip(specs, analyses_list):
         try:
             reports.append(
@@ -469,18 +477,23 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
             )
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        except BudgetExceededError as exc:
+            budget_hit = exc
+            break
+    if budget_hit and not reports:
+        return _budget_error(budget_hit)
 
     failed = any(r.prediction_diffs for r in reports)
     if fmt == "json":
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "analyze",
-                "reports": [r.to_dict() for r in reports],
-                "all_expected": not failed,
-            },
-            out,
-        )
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "analyze",
+            "reports": [r.to_dict() for r in reports],
+            "all_expected": not failed,
+        }
+        if budget_hit:
+            doc["budget_exceeded"] = str(budget_hit)
+        _emit(doc, out)
     else:
         for i, report in enumerate(reports):
             if i:
@@ -489,6 +502,8 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
         if len(reports) > 1:
             print("", file=out)
             _summary_table(reports, out)
+    if budget_hit:
+        return _budget_error(budget_hit)
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
@@ -590,7 +605,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         if budget_hit:
             print(f"stopped early: {budget_hit}", file=out)
     if budget_hit:
-        return EXIT_BUDGET
+        return _budget_error(budget_hit)
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
@@ -630,8 +645,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return _budget_error(exc)
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 

@@ -11,9 +11,10 @@ in increasing order, and has a closed-form size, so lengths and
 empty-set errors build no members, and :func:`enumerate_code`, the one
 place that charges the work budget, charges it before anything is read;
 the blocks and mu take O(2^m) memory whatever n is, and the rows, cached
-once read, add m*n bits.  The pairs are ordered block by block, t1
-major, and are listed only when :meth:`DefiningSet.word_pairs` walks
-them (for :func:`encode`).  The code is the image of the evaluation
+once read, add m*n bits, and the 2m coordinate words that
+:func:`encode` reads add 2m*n more.  The pairs are ordered block by
+block, t1 major, and are listed only when :meth:`DefiningSet.word_pairs`
+walks them.  The code is the image of the evaluation
 map v -> (v . d)_{d in D} over all messages v in I^m; because b kills
 every product, a codeword depends only on the a-part alpha of the
 message: the code is b times the row space of one m x n
@@ -27,10 +28,13 @@ transform of mu.  Both mu and the rows are read off the blocks.  A
 construction to the canonical reduced echelon basis, with its weight
 distribution and kernel size; its message profile is derived from those,
 and its codewords are built from the basis, in increasing order, only
-when something reads :attr:`CodeTable.codewords`.  :func:`encode` is
-plain ring arithmetic and reads no row; the rows meet it in one place,
-the sampled agreement check of the fast walk, which also checks each
-sampled weight against the transform.  The 4^m walk stays an oracle independent of the rows: it
+when something reads :attr:`CodeTable.codewords`.  :func:`encode` takes
+every coordinate at once, moving n-bit element masks through the ring's
+tables, and reads no row; the rows meet it in one place, the sampled
+agreement check of the fast walk.  That check is a chain: per-coordinate
+ring arithmetic (:meth:`RingVector.dot`, on up to 256 coordinates) against
+:func:`encode`, :func:`encode` against the rows, and the rows against the
+transform.  The 4^m walk stays an oracle independent of the rows: it
 passes its own distinct ring-evaluated words as rows, and checks the
 message profile it counted against the derived one.  Each law is checked
 with explicit raises that survive ``python -O``: the laws of the weight
@@ -59,7 +63,14 @@ from .geometry import (
     gf2_basis,
     walsh_hadamard,
 )
-from .ring import ELEMENTS, SYMBOLS, ZERO, RingElement
+from .ring import (
+    ELEMENTS,
+    SYMBOLS,
+    ZERO,
+    RingElement,
+    addition_table,
+    multiplication_table,
+)
 
 #: Default cap on elementary parity operations for one code enumeration.
 DEFAULT_WORK_BUDGET = 1 << 32
@@ -69,6 +80,23 @@ _SYMBOL_OF_DIGIT = str.maketrans("0123", "".join(SYMBOLS))
 #: A symbol to its s bit, and to its t bit, as 0/1 text.
 _S_BIT_OF_SYMBOL = str.maketrans("".join(SYMBOLS), "0101")
 _T_BIT_OF_SYMBOL = str.maketrans("".join(SYMBOLS), "0011")
+#: Most coordinates per code that the agreement check evaluates one by one.
+ORACLE_COORDINATES = 256
+
+
+def _ring_steps() -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each x, every (s, y, s + x*y), read from the ring's tables with
+    each element as its index in ELEMENTS: a running sum s at a coordinate
+    where d is y becomes s + x*y.  Empty when x*y leaves every sum as it is."""
+    times, plus, index = multiplication_table(), addition_table(), ELEMENTS.index
+    out = []
+    for x in range(4):
+        steps = [(s, y, index(plus[s][index(times[x][y])])) for s in range(4) for y in range(4)]
+        out.append(tuple(steps) if any(s != after for s, _y, after in steps) else ())
+    return tuple(out)
+
+
+_STEPS = _ring_steps()
 
 
 class Variant(str, Enum):
@@ -242,6 +270,40 @@ class DefiningSet:
         return tuple(rows)
 
     @cached_property
+    def coordinate_words(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The pairs' coordinates as 2m n-bit words: (s_1..s_m, t_1..t_m).
+
+        Bit j of s_i is bit i-1 of t1 in pair j, and bit j of t_i the same
+        bit of t2, so coordinate i of pair j is a*s + b*t for those bits.
+        Read off the blocks, not off :attr:`rows`: in block D1 x D2, a t1
+        given k times in a row fills k*len(D2) bits of each s_i with its
+        bit, and each t_i repeats, once per such run, the t2 pattern with
+        every t2 repeated k times.
+        """
+        # each block from the last pair down: its D1 and D2 members, and its
+        # runs of equal t1 as (run length, how many runs of that length in a row)
+        layout = []
+        for d1, d2 in reversed(self.blocks):
+            t1_words = tuple(d1.words())[::-1]
+            lengths = (len(list(run)) for _, run in itertools.groupby(t1_words))
+            runs = [(copies, len(list(group))) for copies, group in itertools.groupby(lengths)]
+            layout.append((t1_words, tuple(d2.words())[::-1], runs))
+        s_words, t_words = [], []
+        for i in range(self.m):
+            s_text, t_text = [], []
+            for t1_words, t2_words, runs in layout:
+                zero, one = "0" * len(t2_words), "1" * len(t2_words)
+                s_text += [one if x >> i & 1 else zero for x in t1_words]
+                patterns = {
+                    copies: "".join(["01"[y >> i & 1] * copies for y in t2_words])
+                    for copies, _count in runs
+                }
+                t_text.append("".join([patterns[copies] * count for copies, count in runs]))
+            s_words.append(int("".join(s_text) or "0", 2))
+            t_words.append(int("".join(t_text) or "0", 2))
+        return tuple(s_words), tuple(t_words)
+
+    @cached_property
     def mu(self) -> list[int]:
         """The column multiplicity: mu[x] pairs have t1 with bit word x.
 
@@ -374,15 +436,29 @@ def build_defining_set(spec: DefiningSetSpec) -> DefiningSet:
 
 
 def encode(v: RingVector, ds: DefiningSet) -> RingVector:
-    """Evaluate the codeword (v . d)_{d in D} with plain ring arithmetic,
-    one coordinate per pair, walking the blocks in order.
+    """Evaluate the codeword (v . d)_{d in D} on all n coordinates at once.
 
-    Reads no generator row, so the 4^m walk built on it is independent
-    of :attr:`DefiningSet.rows`.
+    For each coordinate i, the n elements d_i are split by
+    :attr:`DefiningSet.coordinate_words` into four n-bit masks (where d_i
+    is 0, a, b, c); the product v_i * d_i and the running sum then move
+    whole masks as the ring's multiplication and addition tables say, so
+    a message costs O(m) big-int operations.  Reads no generator row, so
+    the 4^m walk built on it is independent of :attr:`DefiningSet.rows`.
     """
     if v.m != ds.m:
         raise DimensionMismatchError(f"message length {v.m} != ambient {ds.m}")
-    return RingVector.from_elements([v.dot(RingVector(ds.m, s, t)) for s, t in ds.word_pairs()])
+    n = len(ds)
+    full = (1 << n) - 1
+    sums = [full, 0, 0, 0]  # where the running sum is 0, a, b, c: 0 everywhere
+    for i, (s, t) in enumerate(zip(*ds.coordinate_words)):
+        steps = _STEPS[v.s_word >> i & 1 | (v.t_word >> i & 1) << 1]
+        if steps:
+            masks = (full ^ (s | t), s & ~t, t & ~s, s & t)  # where d_i is 0, a, b, c
+            total = [0, 0, 0, 0]
+            for before, y, after in steps:
+                total[after] |= sums[before] & masks[y]
+            sums = total
+    return RingVector(n, sums[1] | sums[3], sums[2] | sums[3])
 
 
 @dataclass(frozen=True)
@@ -523,6 +599,25 @@ def _sample_messages(m: int, count: int, seed: int) -> list[RingVector]:
     return [RingVector(m, s, t) for s, t in sorted(picks)]
 
 
+def _oracle_pairs(ds: DefiningSet, seed: int) -> list[tuple[int, RingVector]]:
+    """The coordinates j that the agreement check evaluates one by one,
+    each with its pair as a vector: all of them when n <= 256, else 256
+    drawn by a seeded sample and matched to their pairs in one walk of
+    :meth:`DefiningSet.word_pairs`, which lists no pair."""
+    n = len(ds)
+    picks = (
+        range(n)
+        if n <= ORACLE_COORDINATES
+        else sorted(random.Random(seed).sample(range(n), ORACLE_COORDINATES))
+    )
+    pairs, last, out = ds.word_pairs(), -1, []
+    for j in picks:
+        t1, t2 = next(itertools.islice(pairs, j - last - 1, None))
+        out.append((j, RingVector(ds.m, t1, t2)))
+        last = j
+    return out
+
+
 def enumerate_code(
     ds: DefiningSet,
     *,
@@ -537,10 +632,13 @@ def enumerate_code(
     multiplicity, and credits each alpha with its 2^m free b-parts; the
     kernel is the a-parts of weight 0.  The table is the generator rows,
     so it builds its codewords only when they are read.  Before that,
-    sampled messages (all of them for m <= 2) are spot-checked: raw ring
-    evaluation (:func:`encode`) must match b times the XOR of the rows
-    alpha selects, and twice that word's weight the transform.  That
-    check is the one place where the rows meet ring arithmetic.
+    sampled messages (all of them for m <= 2) are spot-checked along a
+    chain: :meth:`RingVector.dot`, one coordinate at a time, must give
+    the word-wide :func:`encode` value at every coordinate when n <= 256
+    and at 256 seeded picks otherwise (:func:`_oracle_pairs`); that
+    codeword must be b times the XOR of the rows alpha selects; and
+    twice that word's weight the transform's.  That check is the one
+    place where the rows meet ring arithmetic.
     collapse_beta=False forces the plain 4^m message walk with full ring
     arithmetic everywhere and reads no row: its distinct words are the
     table's rows, so a word set that is not a subspace fails the table's
@@ -586,10 +684,17 @@ def enumerate_code(
         weights = [n - total for total in weights]
         rows = ds.rows
         if agreement_samples > 0:
-            for v in _sample_messages(m, agreement_samples, seed=m * 0x9E3779B1 ^ n):
+            seed = m * 0x9E3779B1 ^ n
+            oracle = _oracle_pairs(ds, seed)
+            for v in _sample_messages(m, agreement_samples, seed):
+                codeword = encode(v, ds)
+                _check(
+                    all(v.dot(d) == codeword.element(j + 1) for j, d in oracle),
+                    "per-coordinate ring arithmetic disagrees with the word-wide evaluation",
+                )
                 word = _combine(rows, v.s_word)
                 _check(
-                    encode(v, ds) == RingVector(n, 0, word),
+                    codeword == RingVector(n, 0, word),
                     "ring-arithmetic evaluation disagrees with the reduced form b*(alpha.t1)",
                 )
                 _check(

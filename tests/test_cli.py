@@ -129,13 +129,14 @@ def test_budget_exceeded_is_reported_once(command, capsys):
     code, out = run(argv)
     err = capsys.readouterr().err
     assert code == 3
+    message = BUDGET_MESSAGE.replace("~256", "~16") if command == "verify" else BUDGET_MESSAGE
+    assert err == f"error: {message}\n"
     if command == "verify":
-        # verify flushes its partial summary, which ends with the one budget line
-        message = BUDGET_MESSAGE.replace("~256", "~16")
-        assert err == "" and out.splitlines()[-1] == f"stopped early: {message}"
+        # verify first flushes its partial summary, which ends with the stop
+        assert out.splitlines()[-1] == f"stopped early: {message}"
         assert out.count("budget") == 1
     else:
-        assert (out, err) == ("", f"error: {BUDGET_MESSAGE}\n")
+        assert out == ""
 
 
 def test_construct_builds_the_defining_set_once(monkeypatch):
@@ -446,6 +447,27 @@ def test_analyze_config_takes_the_budget_flag(tmp_path: Path, capsys):
     assert run(["analyze", "--config", str(path)])[0] == 0
     assert run(["analyze", "--config", str(path), "--budget", "8"]) == (3, "")
     assert capsys.readouterr().err == f"error: {BUDGET_MESSAGE}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_analyze_config_reports_finished_jobs_before_the_budget_error(fmt, tmp_path: Path, capsys):
+    # job 1, T2 m=8 with n = 496, is charged 2^8 * 496 = 126976 > 100000
+    job0 = {"variant": "T1", "m": 2, "M": [1], "N": [2]}
+    job1 = {"variant": "T2", "m": 8, "M": [1, 2, 3], "N": [4]}
+    path = tmp_path / "jobs.json"
+    config = {"format": fmt, "work_budget": 100000, "jobs": [job0, job1]}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out = run(["analyze", "--config", str(path)])
+    message = "code enumeration requires ~126976 elementary operations, over the budget of 100000"
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    alone = ["analyze", "--variant", "T1", "--m", "2", "--M", "1", "--N", "2"]
+    if fmt == "text":
+        assert out == run(alone)[1]
+    else:
+        doc = json.loads(out)
+        assert doc["budget_exceeded"] == message
+        assert doc["reports"] == json.loads(run([*alone, "--format", "json"])[1])["reports"]
 
 
 @pytest.mark.parametrize("budget", ["-5", "0"])

@@ -427,6 +427,85 @@ def test_encode_dimension_mismatch():
         encode(RingVector(3, 0, 0), ds)
 
 
+def generic_sets_with_zero_and_repeats(seed):
+    """Random GENERIC sets up to m = 4, each part holding the zero vector
+    and at least one repeated member."""
+    rng = random.Random(seed)
+    for m in range(1, 5):
+        for _ in range(4):
+            parts = []
+            for size in (rng.randint(1, 5), rng.randint(1, 4)):
+                part = [BitVector(m, 0)] + [BitVector(m, rng.randrange(1 << m)) for _ in range(size)]
+                part.append(BitVector(m, rng.choice(part).bits))
+                rng.shuffle(part)
+                parts.append(part)
+            yield build_defining_set(
+                DefiningSetSpec(variant=Variant.GENERIC, m=m, d1=parts[0], d2=parts[1])
+            )
+
+
+def test_word_wide_encode_equals_per_coordinate_dot():
+    """Every message of every T1..T5 code up to m = 3, and of GENERIC sets
+    with repeated and zero members, against RingVector.dot one coordinate
+    at a time."""
+    sets = [ds for m in range(1, 4) for ds in defining_sets(m)]
+    for ds in [*sets, *generic_sets_with_zero_and_repeats(14)]:
+        m = ds.m
+        points = [RingVector(m, t1, t2) for t1, t2 in ds.word_pairs()]
+        for s_word, t_word in itertools.product(range(1 << m), repeat=2):
+            v = RingVector(m, s_word, t_word)
+            assert encode(v, ds) == RingVector.from_elements([v.dot(d) for d in points]), ds
+
+
+def test_coordinate_words_are_the_pair_bits():
+    for ds in [*defining_sets(3), *generic_sets_with_zero_and_repeats(15)]:
+        pairs = list(ds.word_pairs())
+        for words, part in zip(ds.coordinate_words, (0, 1)):
+            assert words == tuple(
+                sum((pair[part] >> i & 1) << j for j, pair in enumerate(pairs))
+                for i in range(ds.m)
+            ), ds
+
+
+@pytest.mark.parametrize(
+    "s, flip",
+    [
+        (spec(Variant.T2, 3, {1}, {2}), lambda n: 1 << 5),
+        # n = 1022 > 256: the oracle sees 256 seeded coordinates, so flip them all
+        (spec(Variant.T2, 9, {1, 2, 3, 4, 5, 6, 7, 8}, {1}), lambda n: (1 << n) - 1),
+    ],
+    ids=["one-bit", "sampled-coordinates"],
+)
+def test_tampered_coordinate_word_fails_the_oracle(s, flip):
+    ds = build_defining_set(s)
+    s_words, t_words = ds.coordinate_words
+    tampered = (s_words[0] ^ flip(len(ds)), *s_words[1:])
+    object.__setattr__(ds, "coordinate_words", (tampered, t_words))
+    # the oracle runs first, before the rows or the transform are compared
+    with pytest.raises(AssertionError, match="per-coordinate ring arithmetic"):
+        enumerate_code(ds)
+
+
+def test_coordinate_word_oracle_survives_optimized_mode():
+    script = (
+        "from icodes.construction import *\n"
+        "ds = build_defining_set(DefiningSetSpec(Variant.T2, 3, {1}, {2}))\n"
+        "s_words, t_words = ds.coordinate_words\n"
+        "object.__setattr__(ds, 'coordinate_words', ((s_words[0] ^ 1, *s_words[1:]), t_words))\n"
+        "enumerate_code(ds)\n"
+    )
+    src = pathlib.Path(construction.__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 1
+    assert (
+        "AssertionError: per-coordinate ring arithmetic disagrees with the word-wide evaluation"
+        in result.stderr
+    )
+
+
 # --- enumeration ---------------------------------------------------------------
 
 
@@ -481,19 +560,14 @@ def defining_sets(m):
 
 def test_collapsed_and_plain_walks_agree():
     """The transform table against the XOR span of the rows, its own
-    built codewords and the character sums, on every code up to m = 4;
-    against the plain 4^m walk on every code up to m = 3 and on a fixed
-    sample at m = 4 (walking all of m = 4 takes minutes)."""
+    built codewords and the character sums, and against the plain 4^m
+    walk, on every code up to m = 4."""
     for m in range(1, 5):
-        sets = list(defining_sets(m))
-        walked = set(range(len(sets)))
-        if m == 4:
-            walked = set(random.Random(4).sample(range(len(sets) - 1), 8)) | {len(sets) - 1}
-        for index, ds in enumerate(sets):
-            check_transform_table(ds, walk=index in walked)
+        for ds in defining_sets(m):
+            check_transform_table(ds)
 
 
-def check_transform_table(ds, walk):
+def check_transform_table(ds):
     m, n = ds.m, len(ds)
     # the ring-vs-rows spot check is covered elsewhere
     table = enumerate_code(ds, agreement_samples=0)
@@ -513,11 +587,10 @@ def check_transform_table(ds, walk):
             len(table.rows)) == facts, ds
     assert [cw.t_word for cw in table.codewords] == sorted(set(words))
     assert not any(cw.s_word for cw in table.codewords)
-    if walk:
-        slow = enumerate_code(ds, collapse_beta=False)
-        assert slow == table
-        assert (slow.weight_distribution, slow.message_profile, slow.kernel_size,
-                len(gf2_basis(cw.t_word for cw in slow.codewords))) == facts, ds
+    slow = enumerate_code(ds, collapse_beta=False)
+    assert slow == table
+    assert (slow.weight_distribution, slow.message_profile, slow.kernel_size,
+            len(gf2_basis(cw.t_word for cw in slow.codewords))) == facts, ds
 
 
 def test_tables_build_their_codewords_when_read(monkeypatch):
