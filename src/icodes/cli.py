@@ -122,6 +122,7 @@ class ExperimentConfig:
             raise UsageError(f"cannot read config {path}: {exc}") from None
         if not isinstance(doc, dict) or not isinstance(doc.get("jobs"), list):
             raise UsageError("config must be a JSON object with a 'jobs' list")
+        _no_unknown_keys(doc, _CONFIG_KEYS, "config: ")
         output_format = doc.get("format", "text")
         if output_format not in ("text", "structured"):
             raise UsageError("config format must be 'text' or 'structured'")
@@ -133,18 +134,9 @@ class ExperimentConfig:
             if not isinstance(job, dict):
                 raise UsageError(f"config job {i} must be a JSON object")
             try:
+                _no_unknown_keys(job, _JOB_KEYS)
                 m = _positive_int(job["m"], "m")
-                variant = Variant(job["variant"])
-                subsets = {}
-                for name in ("M", "N"):
-                    value = job.get(name, [])
-                    if isinstance(value, str):
-                        subsets[name] = parse_subset(value)
-                    else:
-                        subsets[name] = frozenset(_positive_int(x, f"{name} entry") for x in value)
-                spec = DefiningSetSpec(
-                    variant=variant, m=m, M=subsets["M"], N=subsets["N"]
-                )
+                spec = _spec(job["variant"], m, job.get("M", []), job.get("N", []))
                 if not isinstance(job.get("analyses", []), list):
                     raise TypeError(f"analyses must be a list, got {job['analyses']!r}")
                 requested = _normalize_analyses(job.get("analyses"))
@@ -221,6 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The keys of a config file, and of each of its jobs.
+_CONFIG_KEYS = ("jobs", "format", "work_budget")
+_JOB_KEYS = ("variant", "m", "M", "N", "analyses")
+
+
+def _no_unknown_keys(doc: dict, known: tuple[str, ...], prefix: str = "") -> None:
+    """Refuse the first key of doc that is not known, such as a misspelt one."""
+    for key in doc:
+        if key not in known:
+            raise UsageError(f"{prefix}unknown key {key!r}; expected one of {', '.join(known)}")
+
+
 def _positive_int(value, source: str) -> int:
     """A positive integer from outside the program, or a usage error."""
     if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
@@ -281,23 +285,35 @@ def _emit(doc: dict, out) -> None:
     out.write("{}\n" if sep == "{" else "\n}\n")
 
 
-def _spec_from_args(args: argparse.Namespace) -> DefiningSetSpec:
+def _subset(name: str, value) -> frozenset[int]:
+    """M or N as comma-separated text (a flag, or a config string) or, in
+    a config, a list of indices."""
+    if isinstance(value, str):
+        return parse_subset(value)
+    if isinstance(value, list):
+        return frozenset(_positive_int(x, f"{name} entry") for x in value)
+    raise UsageError(
+        f"{name} must be a list of indices or a comma-separated string, got {value!r}"
+    )
+
+
+def _spec(variant, m: int, M, N) -> DefiningSetSpec:
+    """The spec of one code of a named variant, from the flags or from a
+    config job, with the same usage errors for both."""
     try:
-        variant = Variant(args.variant)
+        variant = Variant(variant)
     except ValueError:
-        raise UsageError(f"unknown variant {args.variant!r}") from None
+        raise UsageError(f"unknown variant {variant!r}") from None
     if variant is Variant.GENERIC:
         raise UsageError("the CLI drives the named variants T1..T5")
     try:
-        return DefiningSetSpec(
-            variant=variant, m=args.m, M=parse_subset(args.M), N=parse_subset(args.N)
-        )
+        return DefiningSetSpec(variant=variant, m=m, M=_subset("M", M), N=_subset("N", N))
     except (ValueError, IndexError) as exc:
         raise UsageError(str(exc)) from None
 
 
 def cmd_construct(args: argparse.Namespace, out) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec(args.variant, args.m, args.M, args.N)
     budget = _effective_budget(args.budget)
     try:
         ds = build_defining_set(spec)
@@ -460,7 +476,7 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
     else:
         if not args.variant or args.m is None:
             raise UsageError("analyze needs --variant and --m (or --config)")
-        specs = [_spec_from_args(args)]
+        specs = [_spec(args.variant, args.m, args.M or "", args.N or "")]
         requested = None
         if args.analyses is not None:
             text = args.analyses.strip()
@@ -638,9 +654,6 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
             return cmd_verify(args, out)
         if args.command == "tables":
             return cmd_tables(out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (IndexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,15 +6,15 @@ those blocks, never as its n pairs.  One table (:func:`_blocks`) states
 each variant's blocks.  T1..T4 have one, whose parts are Delta_M or
 Delta_N (the vectors supported inside M or N) or their complements in
 F_2^m; T5, the complement in I^m of the T1 set, has two disjoint ones;
-GENERIC has one, of its given lists.  Each part lists its members once,
-in increasing order, and has a closed-form size, so lengths and
-empty-set errors build no members, and :func:`enumerate_code`, the one
-place that charges the work budget, charges it before anything is read;
-the blocks and mu take O(2^m) memory whatever n is, and the rows, cached
-once read, add m*n bits, and the 2m coordinate words that
-:func:`encode` reads add 2m*n more.  The pairs are ordered block by
-block, t1 major, and are listed only when :meth:`DefiningSet.word_pairs`
-walks them.  The code is the image of the evaluation
+GENERIC has one, of its given lists.  Each part lists its members in
+increasing order and has a closed-form size, so lengths and empty-set
+errors build no members, and :func:`enumerate_code`, the one place that
+charges the work budget, charges it before anything is read; the blocks
+and mu take O(2^m) memory whatever n is, and the 2m coordinate words,
+cached once read, add 2m*n bits.  The pairs are each block's plain
+product D1 x D2 in turn (the one order, stated in
+:meth:`DefiningSet.word_pairs`), listed only when that method walks
+them.  The code is the image of the evaluation
 map v -> (v . d)_{d in D} over all messages v in I^m; because b kills
 every product, a codeword depends only on the a-part alpha of the
 message: the code is b times the row space of one m x n
@@ -23,19 +23,21 @@ the t1 parts.  So the code is fixed by the column multiplicity
 mu(x) = #{d : t1(d) = x} (:attr:`DefiningSet.mu`), and the Lee weight of
 alpha's codeword is the character sum n - mu_hat(alpha):
 :func:`enumerate_code` takes every weight from one Walsh-Hadamard
-transform of mu.  Both mu and the rows are read off the blocks.  A
+transform of mu.  Both mu and the coordinate words are read off the
+blocks, and the rows are the s-half of the coordinate words.  A
 :class:`CodeTable` is the code's generator rows, reduced once on
 construction to the canonical reduced echelon basis, with its weight
 distribution and kernel size; its message profile is derived from those,
 and its codewords are built from the basis, in increasing order, only
 when something reads :attr:`CodeTable.codewords`.  :func:`encode` takes
 every coordinate at once, moving n-bit element masks through the ring's
-tables, and reads no row; the rows meet it in one place, the sampled
-agreement check of the fast walk.  That check is a chain: per-coordinate
-ring arithmetic (:meth:`RingVector.dot`, on up to 256 coordinates) against
-:func:`encode`, :func:`encode` against the rows, and the rows against the
-transform.  The 4^m walk stays an oracle independent of the rows: it
-passes its own distinct ring-evaluated words as rows, and checks the
+tables.  The sampled agreement check of the fast walk is a chain:
+per-coordinate ring arithmetic (:meth:`RingVector.dot` over
+:meth:`DefiningSet.word_pairs`, on up to 256 coordinates) against
+:func:`encode`, :func:`encode` against the rows, and the rows against
+the transform of mu; the first and last links walk the blocks apart
+from the coordinate words.  The 4^m walk passes its own distinct
+ring-evaluated words as rows, so it reads no row, and checks the
 message profile it counted against the derived one.  Each law is checked
 with explicit raises that survive ``python -O``: the laws of the weight
 data and the rank when a table is constructed, so no table exists unless
@@ -50,7 +52,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, DimensionMismatchError, EmptyDefiningSetError
@@ -237,12 +238,11 @@ class DefiningSet:
     """A defining set held as its blocks D1 x D2, in turn.
 
     Each pair (t1, t2) of a block stands for a*t1 + b*t2.  A part lists
-    its members once, in increasing order of the bit word (a GENERIC
-    part keeps its repeated members together, as runs, in the order they
-    were given), so the set holds nothing of size n until its rows are
-    read: its length is the closed form, and mu and the rows are read
-    off the blocks.  The pairs are listed block by block, t1 major and
-    t2 minor, only when :meth:`word_pairs` walks them.
+    its members in increasing order of the bit word, so the set holds
+    nothing of size n until its coordinate words are read: its length is
+    the closed form, and mu and the coordinate words are read off the
+    blocks.  The pairs, in the order :meth:`word_pairs` states, are
+    listed only when that method walks them.
     """
 
     m: int
@@ -250,24 +250,12 @@ class DefiningSet:
 
     @cached_property
     def rows(self) -> tuple[int, ...]:
-        """The m rows of the binary generator matrix G, as n-bit words.
-
-        Bit j of row i is coordinate i+1 of t1 in pair j.  Pairs are t1
-        major, so in block D1 x D2 each member of D1 fills len(D2)
-        consecutive bits with its own bit.  Since ab = b^2 = 0, the
-        codeword of a message with a-part alpha is b times the XOR of the
-        rows that alpha selects.
-        """
-        spans = [(tuple(d1.words()), len(d2)) for d1, d2 in self.blocks]
-        rows = []
-        for i in range(self.m):
-            # the text of row i, from its highest bit (the last pair) down
-            chunks: list[str] = []
-            for words, width in reversed(spans):
-                one, zero = "1" * width, "0" * width
-                chunks += [one if x >> i & 1 else zero for x in reversed(words)]
-            rows.append(int("".join(chunks) or "0", 2))
-        return tuple(rows)
+        """The m rows of the binary generator matrix G, as n-bit words:
+        the s-half of :attr:`coordinate_words`, so bit j of row i is
+        coordinate i+1 of t1 in pair j.  Since ab = b^2 = 0, the codeword
+        of a message with a-part alpha is b times the XOR of the rows that
+        alpha selects."""
+        return self.coordinate_words[0]
 
     @cached_property
     def coordinate_words(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -275,32 +263,23 @@ class DefiningSet:
 
         Bit j of s_i is bit i-1 of t1 in pair j, and bit j of t_i the same
         bit of t2, so coordinate i of pair j is a*s + b*t for those bits.
-        Read off the blocks, not off :attr:`rows`: in block D1 x D2, a t1
-        given k times in a row fills k*len(D2) bits of each s_i with its
-        bit, and each t_i repeats, once per such run, the t2 pattern with
-        every t2 repeated k times.
+        A block D1 x D2 is a plain product (:meth:`word_pairs`), so each
+        member of D1 fills len(D2) consecutive bits of s_i with its bit,
+        and t_i repeats the pattern of D2 len(D1) times.
         """
-        # each block from the last pair down: its D1 and D2 members, and its
-        # runs of equal t1 as (run length, how many runs of that length in a row)
-        layout = []
-        for d1, d2 in reversed(self.blocks):
-            t1_words = tuple(d1.words())[::-1]
-            lengths = (len(list(run)) for _, run in itertools.groupby(t1_words))
-            runs = [(copies, len(list(group))) for copies, group in itertools.groupby(lengths)]
-            layout.append((t1_words, tuple(d2.words())[::-1], runs))
+        # each block's parts, from the last pair down
+        layout = [
+            (tuple(d1.words())[::-1], tuple(d2.words())[::-1]) for d1, d2 in reversed(self.blocks)
+        ]
         s_words, t_words = [], []
         for i in range(self.m):
             s_text, t_text = [], []
-            for t1_words, t2_words, runs in layout:
+            for t1_words, t2_words in layout:
                 zero, one = "0" * len(t2_words), "1" * len(t2_words)
                 s_text += [one if x >> i & 1 else zero for x in t1_words]
-                patterns = {
-                    copies: "".join(["01"[y >> i & 1] * copies for y in t2_words])
-                    for copies, _count in runs
-                }
-                t_text.append("".join([patterns[copies] * count for copies, count in runs]))
-            s_words.append(int("".join(s_text) or "0", 2))
-            t_words.append(int("".join(t_text) or "0", 2))
+                t_text.append("".join(["01"[y >> i & 1] for y in t2_words]) * len(t1_words))
+            s_words.append(int("".join(s_text), 2))
+            t_words.append(int("".join(t_text), 2))
         return tuple(s_words), tuple(t_words)
 
     @cached_property
@@ -328,16 +307,14 @@ class DefiningSet:
         return sum(len(d1) * len(d2) for d1, d2 in self.blocks)
 
     def word_pairs(self) -> Iterator[tuple[int, int]]:
-        """The bit words (t1, t2) of the pairs, block by block, t1 major
-        and t2 minor; equal members pair in the order given, as a stable
-        sort puts them."""
+        """The bit words (t1, t2) of the pairs, in the one order of the set.
+
+        Each block in turn is the plain product D1 x D2 of its parts, each
+        part in increasing order: t1 major, t2 minor, and a member given k
+        times repeats its whole run of len(D2) pairs k times.
+        """
         for d1, d2 in self.blocks:
-            t2_words = tuple(d2.words())
-            for t1, run in itertools.groupby(d1.words()):
-                # a t1 given k times pairs k times in a row with each t2
-                copies = sum(1 for _ in run)
-                t2_run = t2_words if copies == 1 else [y for y in t2_words for _ in range(copies)]
-                yield from itertools.product((t1,), t2_run)
+            yield from itertools.product(d1.words(), d2.words())
 
 
 @dataclass(frozen=True)
@@ -368,19 +345,17 @@ class _Part:
 
 @dataclass(frozen=True)
 class _Listed:
-    """A GENERIC part: the given members, sorted stably by bit word, so
-    repeated members sit together in the order they were given."""
+    """A GENERIC part: the bit words of the given members in increasing
+    order, a member given k times listed k times (for the pair order see
+    :meth:`DefiningSet.word_pairs`)."""
 
-    members: tuple[BitVector, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(sorted(self.members, key=attrgetter("bits"))))
+    members: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.members)
 
     def words(self) -> Iterator[int]:
-        return (v.bits for v in self.members)
+        return iter(self.members)
 
 
 #: Why a variant's defining set can be empty; T1 and GENERIC never are.
@@ -395,7 +370,8 @@ _EMPTY_REASONS = {
 def _blocks(spec: DefiningSetSpec) -> tuple[tuple[_Part | _Listed, _Part | _Listed], ...]:
     """The blocks D1 x D2 whose products, in turn, make up the defining set."""
     if spec.variant is Variant.GENERIC:
-        return ((_Listed(spec.d1), _Listed(spec.d2)),)
+        d1, d2 = (_Listed(tuple(sorted(v.bits for v in part))) for part in (spec.d1, spec.d2))
+        return ((d1, d2),)
     m = spec.m
     delta_m, delta_n = _Part(m, spec.M), _Part(m, spec.N)
     outside_m, outside_n = _Part(m, spec.M, inside=False), _Part(m, spec.N, inside=False)
@@ -421,13 +397,12 @@ def defining_set_length(spec: DefiningSetSpec) -> int:
 def build_defining_set(spec: DefiningSetSpec) -> DefiningSet:
     """The defining set described by spec, held as its blocks.
 
-    Its pairs are listed block by block, each block lexicographically, t1
-    major and t2 minor, with each component in increasing integer order
-    (stably, so GENERIC duplicates keep their order); T5 lists its two
-    disjoint blocks in turn (a-part outside the M-complex with free
-    b-part, then a-part inside with b-part outside the N-complex).
-    Building it lists no member and no pair is stored: the set takes
-    O(2^m) memory once mu is read, and m*n bits more once rows is read.
+    Its pairs are in the order of :meth:`DefiningSet.word_pairs`; T5
+    lists its two disjoint blocks in turn (a-part outside the M-complex
+    with free b-part, then a-part inside with b-part outside the
+    N-complex).  Building it lists no member and no pair is stored: the
+    set takes O(2^m) memory once mu is read, and 2m*n bits more once the
+    coordinate words (or the rows, their s-half) are read.
     """
     ds = DefiningSet(spec.m, _blocks(spec))
     if not len(ds):
@@ -442,8 +417,8 @@ def encode(v: RingVector, ds: DefiningSet) -> RingVector:
     :attr:`DefiningSet.coordinate_words` into four n-bit masks (where d_i
     is 0, a, b, c); the product v_i * d_i and the running sum then move
     whole masks as the ring's multiplication and addition tables say, so
-    a message costs O(m) big-int operations.  Reads no generator row, so
-    the 4^m walk built on it is independent of :attr:`DefiningSet.rows`.
+    a message costs O(m) big-int operations.  Reads the coordinate words
+    only, never the cached :attr:`DefiningSet.rows`, their s-half.
     """
     if v.m != ds.m:
         raise DimensionMismatchError(f"message length {v.m} != ambient {ds.m}")
@@ -637,8 +612,9 @@ def enumerate_code(
     the word-wide :func:`encode` value at every coordinate when n <= 256
     and at 256 seeded picks otherwise (:func:`_oracle_pairs`); that
     codeword must be b times the XOR of the rows alpha selects; and
-    twice that word's weight the transform's.  That check is the one
-    place where the rows meet ring arithmetic.
+    twice that word's weight the transform's.  The rows share their words
+    with :func:`encode`, so the links that see a fault in those words are
+    the first and the last, which walk the blocks apart from them.
     collapse_beta=False forces the plain 4^m message walk with full ring
     arithmetic everywhere and reads no row: its distinct words are the
     table's rows, so a word set that is not a subspace fails the table's

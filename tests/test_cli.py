@@ -1,5 +1,6 @@
 """Command-line behavior: output, exit codes, config batches, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -382,8 +383,17 @@ def test_analyze_config_boolean_work_budget(tmp_path: Path, capsys):
         ({"N": [True]}, "N entry must be a positive integer, got True"),
         ({"N": ["2"]}, "N entry must be a positive integer, got '2'"),
         ({"analyses": "weights"}, "analyses must be a list, got 'weights'"),
+        ({"n": [2, 3]}, "unknown key 'n'; expected one of variant, m, M, N, analyses"),
+        ({"M": None}, "M must be a list of indices or a comma-separated string, got None"),
+        ({"M": 3}, "M must be a list of indices or a comma-separated string, got 3"),
+        # the flags' messages
+        ({"variant": "GENERIC"}, "the CLI drives the named variants T1..T5"),
+        ({"variant": "T7"}, "unknown variant 'T7'"),
     ],
-    ids=["float-m", "bool-m", "string-m", "float-M", "bool-N", "string-N", "string-analyses"],
+    ids=[
+        "float-m", "bool-m", "string-m", "float-M", "bool-N", "string-N", "string-analyses",
+        "unknown-key", "null-M", "int-M", "generic-variant", "unknown-variant",
+    ],
 )
 def test_analyze_config_rejects_coerced_values(job, message, tmp_path: Path, capsys):
     path = tmp_path / "jobs.json"
@@ -391,6 +401,19 @@ def test_analyze_config_rejects_coerced_values(job, message, tmp_path: Path, cap
     path.write_text(json.dumps({"jobs": [good, {**good, **job}]}), encoding="utf-8")
     assert run(["analyze", "--config", str(path)]) == (2, "")
     assert capsys.readouterr().err == f"error: config job 1: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["fromat", "work_budgt"])
+def test_analyze_config_refuses_an_unknown_top_level_key(key, tmp_path: Path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "analyze", lambda spec, **kwargs: ran.append(spec))
+    path = tmp_path / "jobs.json"
+    config = {key: "structured" if key == "fromat" else 5, "jobs": [{"variant": "T1", "m": 2}]}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(["analyze", "--config", str(path)]) == (2, "")
+    expected = f"config: unknown key {key!r}; expected one of jobs, format, work_budget"
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert ran == []
 
 
 @pytest.mark.parametrize(
@@ -546,20 +569,97 @@ def test_tables_exact_rows():
     assert "+ | 0 a b c" in text
 
 
-def test_every_readme_command_exits_zero():
+def readme_commands():
     readme = Path(__file__).resolve().parent.parent / "README.md"
-    commands = [
-        line.strip()
+    return [
+        line.strip()[len("icodes "):]
         for line in readme.read_text(encoding="utf-8").splitlines()
         if line.strip().startswith("icodes ")
     ]
+
+
+def test_every_readme_command_exits_zero():
+    commands = readme_commands()
     assert len(commands) >= 10  # six reference constructions plus the rest
     for command in commands:
-        argv = command.split()[1:]
+        argv = command.split()
         if "--config" in argv:
             continue  # documented with an inline JSON example, not a real file
         code, _ = run(argv)
         assert code == 0, command
+
+
+#: sha256 of stdout and of stderr, and the exit status, of the README
+#: commands, both dump workloads, a certify rung and a JSON sweep; recorded
+#: before the pairs of a GENERIC block became the plain product of its parts,
+#: which leaves every T1..T5 output as it was.
+NOTHING = hashlib.sha256(b"").hexdigest()
+GOLDEN_OUTPUTS = {
+    "construct --variant T1 --m 6 --M 2,3 --N 4,5": (
+        "adeb36bb043635a3526054654c626a91de1dc87827b3d1c3d18fd53aa89d7a66", NOTHING, 0
+    ),
+    "construct --variant T2 --m 5 --M 1,2,3 --N 4": (
+        "992a347d86fbcb68356fe68a497c5a73d427c7463b31829d842e25ad8a6e8527", NOTHING, 0
+    ),
+    "construct --variant T2 --m 9 --M 1,2,3,4,7,8,9 --N 5,6": (
+        "e9de297c4b067e36fa2c79d60198e386acc2cd2aa88405111d09eee39256646b", NOTHING, 0
+    ),
+    "construct --variant T3 --m 3 --M 1,2,3 --N 1,2": (
+        "6412397fa5b16a9e3fa94d49187f59b4b4dba4b2200750f2b5149a42dc10176e", NOTHING, 0
+    ),
+    "construct --variant T4 --m 5 --M 2,3,4 --N 1,2,4,5": (
+        "bbfdf7384b68ba956fa8510e7e9b0221fdfbf773ff1d0f1d84d1780a982b0a82", NOTHING, 0
+    ),
+    "construct --variant T5 --m 4 --M 2,3,4 --N 1,2,4": (
+        "aaf08c336ab7258c455bf4788ebe0dcdf66ea1652e1d59fc55b93369a2235b18", NOTHING, 0
+    ),
+    "construct --variant T1 --m 6 --M 2,3 --N 4,5 --dump-ring-codewords --dump-gray-codewords": (
+        "8961377017cf14fa4d2e4f170d9a93409aabbbdadc259523547c519a7008eb2d", NOTHING, 0
+    ),
+    "construct --variant T1 --m 6 --M 2,3 --N 4,5 --format json --dump-ring-codewords --dump-gray-codewords": (
+        "694fbf3fd69856be3f44788926c4675582c952ac255e7dad8601a1a1833e02e9", NOTHING, 0
+    ),
+    "analyze --variant T2 --m 5 --M 1,2,3 --N 4": (
+        "b8df5cf450d2a39110fa75309e2e7a516864e5ebe5356fe5985484a19ccace05", NOTHING, 0
+    ),
+    "analyze --variant T5 --m 4 --M 2,3,4 --N 1,2,4 --format json": (
+        "f13f921a9d8a36474e0d363043330cafe894428c71b8dba5a53ec53e49ba4028", NOTHING, 0
+    ),
+    "verify --m 1..3": (
+        "1d5b4d7fa83644532ae4f7aa3f3cb2925f2c8641eb357ab4613b830639542950", NOTHING, 0
+    ),
+    "verify --m 5 --variants T2 --sample 20": (
+        "9852d98ac663f083439937e92c596e5aa947a3b8745e162e2e473c12245bc19e", NOTHING, 0
+    ),
+    "tables": (
+        "d5de5f291eff195fe6b69310949a258bbdd2038d4279f644a9456078e8bb3e84", NOTHING, 0
+    ),
+    "construct --variant T2 --m 9 --M 1,2,3,4,7,8,9 --N 5,6 --format json --dump-ring-codewords --dump-gray-codewords": (
+        "d6b682a7b8a234408f7ae7ac342962b4e5d70b1e22648f6558804cb1c1518c44", NOTHING, 0
+    ),
+    "construct --variant T5 --m 7 --M 1,2 --N 3 --format json --dump-ring-codewords --dump-gray-codewords": (
+        "614e74cb33aea3b46902b20309c3b7d76cf3168358e0e6e2c3ce31c5a9176857", NOTHING, 0
+    ),
+    "analyze --variant T2 --m 12 --M 1,2,3,5,7,9 --N 4 --format json": (
+        "23f3024d38b32c1a65c80b58c7df00a849a1b397e133a0867fecb6775123bea6", NOTHING, 0
+    ),
+    "verify --m 1..3 --format json": (
+        "11ba10a6880b34836f574b12e5dee92660a3386415e6f24d10af1c8efefb978e", NOTHING, 0
+    ),
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_outputs(capsys):
+    assert set(readme_commands()) <= GOLDEN_OUTPUTS.keys()
+    actual = {}
+    for command in GOLDEN_OUTPUTS:
+        code, out = run(command.split())
+        actual[command] = (sha256(out), sha256(capsys.readouterr().err), code)
+    assert actual == GOLDEN_OUTPUTS
 
 
 def test_tables_round_trip():

@@ -37,6 +37,7 @@ from icodes import (
     gray_image,
     weight_enumerator,
 )
+from icodes.analysis import is_minimal_exhaustive, is_self_orthogonal
 from icodes.geometry import all_vectors, character_sum, gf2_basis, walsh_hadamard
 
 # Independent mini-ring: symbol tables only, no bit tricks.
@@ -224,12 +225,13 @@ def test_generic_preserves_multiset_duplicates():
     )
     assert len(ds) == 2
     assert list(ds.word_pairs()) == [(1, 2), (1, 2)]
-    # a repeated t1 lists all its pairs together, in lexicographic order
+    # the block is the plain product of its sorted parts: a repeated t1
+    # repeats its whole run of len(D2) pairs
     ds = build_defining_set(
         DefiningSetSpec(variant=Variant.GENERIC, m=2, d1=(w, v, w), d2=(w, v))
     )
     assert list(ds.word_pairs()) == [
-        (1, 1), (1, 2), (2, 1), (2, 1), (2, 2), (2, 2),
+        (1, 1), (1, 2), (2, 1), (2, 2), (2, 1), (2, 2),
     ]
 
 
@@ -237,11 +239,12 @@ def test_generic_preserves_multiset_duplicates():
 
 
 def pair_list(blocks):
-    """Oracle: each block's pairs materialized and sorted stably, t1 major."""
+    """Oracle: each block's pairs materialized, the product of its parts
+    each sorted stably by bit word."""
     return [
         pair
         for d1, d2 in blocks
-        for pair in sorted(itertools.product(d1, d2), key=lambda p: (p[0].bits, p[1].bits))
+        for pair in itertools.product(*(sorted(part, key=lambda v: v.bits) for part in (d1, d2)))
     ]
 
 
@@ -459,6 +462,7 @@ def test_word_wide_encode_equals_per_coordinate_dot():
 
 def test_coordinate_words_are_the_pair_bits():
     for ds in [*defining_sets(3), *generic_sets_with_zero_and_repeats(15)]:
+        assert ds.rows is ds.coordinate_words[0]
         pairs = list(ds.word_pairs())
         for words, part in zip(ds.coordinate_words, (0, 1)):
             assert words == tuple(
@@ -554,8 +558,12 @@ def defining_sets(m):
                     yield build_defining_set(spec(variant, m, M, N))
                 except EmptyDefiningSetError:
                     pass
+    yield generic_parts_set(m)
+
+
+def generic_parts_set(m):
     d1, d2 = (tuple(map(BitVector.from_string, part)) for part in GENERIC_PARTS[m])
-    yield build_defining_set(DefiningSetSpec(variant=Variant.GENERIC, m=m, d1=d1, d2=d2))
+    return build_defining_set(DefiningSetSpec(variant=Variant.GENERIC, m=m, d1=d1, d2=d2))
 
 
 def test_collapsed_and_plain_walks_agree():
@@ -591,6 +599,54 @@ def check_transform_table(ds):
     assert slow == table
     assert (slow.weight_distribution, slow.message_profile, slow.kernel_size,
             len(gf2_basis(cw.t_word for cw in slow.codewords))) == facts, ds
+
+
+#: (weight distribution, message profile, kernel size, Gray [n, k, d],
+#: minimal, self-orthogonal) of GENERIC codes, recorded when equal members
+#: of a part still paired in a row; the pair order permutes coordinates
+#: only, so these stay, and only codeword strings and witnesses may move.
+GENERIC_FACTS = {
+    "parts-m1": ({0: 1, 4: 1}, {0: 2, 4: 2}, 2, [6, 1, 4], True, True),
+    "parts-m2": (
+        {0: 1, 4: 1, 8: 1, 12: 1}, {0: 4, 4: 4, 8: 4, 12: 4}, 4, [16, 2, 4], False, True,
+    ),
+    "parts-m3": ({0: 1, 12: 1, 18: 2}, {0: 16, 12: 16, 18: 32}, 16, [30, 2, 12], True, True),
+    "parts-m4": (
+        {0: 1, 4: 2, 8: 2, 12: 2, 16: 1}, {0: 32, 4: 64, 8: 64, 12: 64, 16: 32}, 32,
+        [24, 3, 4], False, True,
+    ),
+    "random-0": ({0: 1, 16: 1}, {0: 2, 16: 2}, 2, [24, 1, 16], True, True),
+    "random-4": ({0: 1, 12: 2, 24: 1}, {0: 4, 12: 8, 24: 4}, 4, [36, 2, 12], False, True),
+    "random-8": (
+        {0: 1, 10: 1, 20: 1, 30: 1}, {0: 16, 10: 16, 20: 16, 30: 16}, 16, [50, 2, 10], False,
+        True,
+    ),
+    "random-11": (
+        {0: 1, 10: 2, 20: 2, 30: 2, 40: 1}, {0: 8, 10: 16, 20: 16, 30: 16, 40: 8}, 8,
+        [60, 3, 10], False, True,
+    ),
+    "random-14": (
+        {0: 1, 10: 2, 20: 1, 30: 1, 40: 2, 50: 1},
+        {0: 32, 10: 64, 20: 32, 30: 32, 40: 64, 50: 32}, 32, [70, 3, 10], False, True,
+    ),
+}
+
+
+def test_generic_facts_do_not_depend_on_the_pair_order():
+    sets = {f"parts-m{m}": generic_parts_set(m) for m in range(1, 5)}
+    for i, ds in enumerate(generic_sets_with_zero_and_repeats(14)):
+        if f"random-{i}" in GENERIC_FACTS:
+            sets[f"random-{i}"] = ds
+    assert sets.keys() == GENERIC_FACTS.keys()
+    for name, ds in sets.items():
+        table = enumerate_code(ds)
+        image = gray_image(table)
+        facts = (
+            table.weight_distribution, table.message_profile, table.kernel_size,
+            binary_params(image).as_list(), is_minimal_exhaustive(image).minimal,
+            is_self_orthogonal(image).self_orthogonal,
+        )
+        assert facts == GENERIC_FACTS[name], name
 
 
 def test_tables_build_their_codewords_when_read(monkeypatch):
