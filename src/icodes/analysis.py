@@ -12,12 +12,18 @@ each closed-form fact once.  The certificates read no codeword list:
 they work on the image's :attr:`~icodes.construction.CodeTable.rows`,
 the canonical reduced echelon basis every table is reduced to once, on
 construction (for an enumerated code, from its m generator rows).
-Minimality is decided on the distinct nonzero columns of that basis, the
-points of the code, by the cutting-blocking-set criterion, and only a
-witness pair is ever built as words; self-orthogonality pairs the basis
-words, and the simplex check counts the columns.  ``analyze`` judges
-each certificate against its closed-form expectation where it computes
-it.  ``verify_against_prediction`` is ``analyze``'s weight-profile
+Minimality comes from the weight function W(alpha) = n - mu_hat(alpha)
+that the defining set holds (:func:`minimal_from_weights`), so a code
+whose weights have no triple a + b = c is decided without touching a
+codeword.  The rank scan on the distinct nonzero columns of the basis,
+the points of the code (:func:`is_minimal_exhaustive`, the
+cutting-blocking-set criterion), is the independent slow path: in
+``analyze`` it supplies the witness of every non-minimal code, the only
+pair ever built as words, and cross-checks a minimal verdict when the
+image has rank at most RANK_SCAN_CROSS_CHECK_K.  Self-orthogonality
+pairs the basis words, and the simplex check counts the columns.
+``analyze`` judges each certificate against its closed-form expectation
+where it computes it.  ``verify_against_prediction`` is ``analyze``'s weight-profile
 comparison: ``analyze`` restricted to the ``verify`` analysis, projected
 to a ``PredictionMatch``.
 """
@@ -30,14 +36,16 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .construction import (
+    RANK_SCAN_CROSS_CHECK_K,
     Alphabet,
     CodeParams,
     CodeTable,
     DefiningSetSpec,
     Variant,
+    _check,
     _combine,
     binary_params,
     build_defining_set,
@@ -46,7 +54,7 @@ from .construction import (
     weight_enumerator,
 )
 from .errors import EmptyDefiningSetError
-from .geometry import bit_string
+from .geometry import bit_string, walsh_hadamard
 
 #: Everything cmd_analyze knows how to run.
 ALL_ANALYSES = (
@@ -252,20 +260,72 @@ class MinimalityFinding:
 _POINT_ORDER_SEED = 0x1C0DE5
 
 
+def minimal_from_weights(weights: Sequence[int]) -> bool:
+    """Whether a binary linear code is minimal, from its weight function.
+
+    weights[x] is the weight of the codeword of message x in F_2^m (the
+    code's Lee weights W, indexed by a-part): no codeword is built.  A
+    nonzero codeword u_x lies inside the support of another, u_x ^ u_y
+    with u_y nonzero, iff u_x and u_y have disjoint supports, iff W(x) +
+    W(y) = W(x ^ y) (Cohen, Mesnager and Patey, IMACC 2013).  So the code
+    is minimal iff no weight triple a + b = c, all nonzero and a <= b,
+    has x, y, z = x ^ y with W(x) = a, W(y) = b and W(z) = c, a count
+    symmetric in the three levels.  Where the two smallest levels give
+    at most m * 2^m pairs, their XORs are looked up in the third;
+    otherwise the count is 2^-m sum_u A(u) B(u) C(u) over the
+    Walsh-Hadamard transforms of the three level sets.  A code with no
+    triple, like the paper's few-weight ones, costs one pass over W.
+    """
+    sizes = Counter(weights)
+    levels = sorted(w for w in sizes if w)
+    m = len(weights).bit_length() - 1
+    transforms: dict[int, list[int]] = {}
+
+    def members(level: int) -> list[int]:
+        return [x for x, w in enumerate(weights) if w == level]
+
+    def transform(level: int) -> list[int]:
+        if level not in transforms:
+            indicator = [int(w == level) for w in weights]
+            walsh_hadamard(indicator)
+            transforms[level] = indicator
+        return transforms[level]
+
+    for i, a in enumerate(levels):
+        for b in levels[i:]:
+            if a + b not in sizes:
+                continue
+            (few, first), (more, second), (_, third) = sorted(
+                (sizes[w], w) for w in (a, b, a + b)
+            )
+            if few * more <= m << m:
+                xs = members(first)
+                ys = xs if second == first else members(second)
+                if any(weights[x ^ y] == third for x in xs for y in ys):
+                    return False
+            elif sum(p * q * r for p, q, r in zip(transform(a), transform(b), transform(a + b))):
+                return False
+    return True
+
+
 def is_minimal_exhaustive(table: CodeTable) -> MinimalityFinding:
     """No nonzero codeword's support may contain another's.
 
-    Decided on the points of the code, the distinct nonzero columns S of
-    its rows (cutting blocking sets: Alfarano, Borello and Neri, Adv.
-    Math. Commun. 16 (2022); Tang, Qiu, Liao and Zhou, IEEE Trans. Inf.
-    Theory 67(6) (2021)).  The table's rows are in reduced echelon form,
-    so x in F_2^k selects the x-th smallest codeword u_x, whose support
-    is the coordinates whose column p has odd x . p.  u_x is covered iff
-    some nonzero codeword avoids its support, iff the points off the
-    hyperplane x^perp fail to span F_2^k: one early-exit rank test per x,
-    over S in a fixed shuffled order.  The witness is the smallest
-    covered word and the smallest other word covering it, in increasing
-    order (the table order), and only those two words are built.
+    The slow path beside :func:`minimal_from_weights`, sharing nothing
+    with it: ``analyze`` takes the witness of a non-minimal code from it
+    and cross-checks a minimal verdict with it when the image has rank at
+    most RANK_SCAN_CROSS_CHECK_K.  Decided on the points of the code,
+    the distinct nonzero columns S of its rows (cutting blocking sets:
+    Alfarano, Borello and Neri, Adv. Math. Commun. 16 (2022); Tang, Qiu,
+    Liao and Zhou, IEEE Trans. Inf. Theory 67(6) (2021)).  The table's
+    rows are in reduced echelon form, so x in F_2^k selects the x-th
+    smallest codeword u_x, whose support is the coordinates whose column
+    p has odd x . p.  u_x is covered iff some nonzero codeword avoids its
+    support, iff the points off the hyperplane x^perp fail to span F_2^k:
+    one early-exit rank test per x, over S in a fixed shuffled order.
+    The witness is the smallest covered word and the smallest other word
+    covering it, in increasing order (the table order), and only those
+    two words are built.
     """
     _require_binary(table)
     rows = table.rows
@@ -641,7 +701,15 @@ def analyze(
         ab = ab_condition(image)
         fields["ab_ratio"] = str(ab.ratio)
         fields["ab_holds"] = ab.holds
-        finding = is_minimal_exhaustive(image)
+        minimal = minimal_from_weights(ds.lee_weights)
+        if minimal and len(image.rows) > RANK_SCAN_CROSS_CHECK_K:
+            finding = MinimalityFinding(True, None)
+        else:
+            finding = is_minimal_exhaustive(image)
+            _check(
+                finding.minimal == minimal,
+                "the weight function and the rank scan disagree on minimality",
+            )
         fields["minimal"] = "yes-exhaustive" if finding.minimal else "no"
         if finding.witness is not None:
             fields["minimal_witness"] = tuple(

@@ -22,18 +22,20 @@ binary generator matrix (:attr:`DefiningSet.rows`), whose columns are
 the t1 parts.  So the code is fixed by the column multiplicity
 mu(x) = #{d : t1(d) = x} (:attr:`DefiningSet.mu`), and the Lee weight of
 alpha's codeword is the character sum n - mu_hat(alpha):
-:func:`enumerate_code` takes every weight from one Walsh-Hadamard
-transform of mu.  Both mu and the coordinate words are read off the
-blocks, and the rows are the s-half of the coordinate words.  A
-:class:`CodeTable` is the code's generator rows, reduced once on
-construction to the canonical reduced echelon basis, with its weight
+:attr:`DefiningSet.lee_weights` holds every weight from one
+Walsh-Hadamard transform of mu, which :func:`enumerate_code` and the
+minimality certificate share.  Both mu and the coordinate words are
+read off the blocks, and the rows are the s-half of the coordinate
+words.  A :class:`CodeTable` is the code's generator rows, reduced once
+on construction to the canonical reduced echelon basis, with its weight
 distribution and kernel size; its message profile is derived from those,
 and its codewords are built from the basis, in increasing order, only
 when something reads :attr:`CodeTable.codewords`.  :func:`encode` takes
 every coordinate at once, moving n-bit element masks through the ring's
 tables.  The sampled agreement check of the fast walk is a chain:
-per-coordinate ring arithmetic (:meth:`RingVector.dot` over
-:meth:`DefiningSet.word_pairs`, on up to 256 coordinates) against
+per-coordinate ring arithmetic (the ring's :func:`~icodes.ring.dot`,
+which :meth:`RingVector.dot` runs too, over the elements of
+:meth:`DefiningSet.word_pairs` on up to 256 coordinates) against
 :func:`encode`, :func:`encode` against the rows, and the rows against
 the transform of mu; the first and last links walk the blocks apart
 from the coordinate words.  The 4^m walk passes its own distinct
@@ -67,9 +69,9 @@ from .geometry import (
 from .ring import (
     ELEMENTS,
     SYMBOLS,
-    ZERO,
     RingElement,
     addition_table,
+    dot,
     multiplication_table,
 )
 
@@ -83,6 +85,9 @@ _S_BIT_OF_SYMBOL = str.maketrans("".join(SYMBOLS), "0101")
 _T_BIT_OF_SYMBOL = str.maketrans("".join(SYMBOLS), "0011")
 #: Most coordinates per code that the agreement check evaluates one by one.
 ORACLE_COORDINATES = 256
+#: Largest image rank k at which a minimal verdict of the weight function is
+#: cross-checked by the rank scan (which runs on every non-minimal code).
+RANK_SCAN_CROSS_CHECK_K = 8
 
 
 def _ring_steps() -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -169,10 +174,7 @@ class RingVector:
         """Ring inner product, evaluated coordinate by coordinate in I."""
         if self.m != other.m:
             raise DimensionMismatchError(f"dimension mismatch: {self.m} vs {other.m}")
-        acc = ZERO
-        for i in range(1, self.m + 1):
-            acc = acc + self.element(i) * other.element(i)
-        return acc
+        return dot(self.elements(), other.elements())
 
     def scaled_by(self, r: RingElement) -> RingVector:
         """Coordinatewise ring action r*x (module structure)."""
@@ -296,6 +298,16 @@ class DefiningSet:
                 mu[x] += width
         _check(sum(mu) == len(self), "the listed members disagree with the closed-form length")
         return mu
+
+    @cached_property
+    def lee_weights(self) -> list[int]:
+        """W(alpha) = n - mu_hat(alpha), the Lee weight of the codeword of
+        every a-part alpha, from one Walsh-Hadamard transform of :attr:`mu`:
+        the one transform that enumeration and the certificates share."""
+        weights = list(self.mu)
+        walsh_hadamard(weights)
+        n = len(self)
+        return [n - total for total in weights]
 
     @property
     def pairs(self) -> Iterator[tuple[BitVector, BitVector]]:
@@ -574,10 +586,10 @@ def _sample_messages(m: int, count: int, seed: int) -> list[RingVector]:
     return [RingVector(m, s, t) for s, t in sorted(picks)]
 
 
-def _oracle_pairs(ds: DefiningSet, seed: int) -> list[tuple[int, RingVector]]:
+def _oracle_pairs(ds: DefiningSet, seed: int) -> list[tuple[int, tuple[RingElement, ...]]]:
     """The coordinates j that the agreement check evaluates one by one,
-    each with its pair as a vector: all of them when n <= 256, else 256
-    drawn by a seeded sample and matched to their pairs in one walk of
+    each with the m elements of its pair: all of them when n <= 256, else
+    256 drawn by a seeded sample and matched to their pairs in one walk of
     :meth:`DefiningSet.word_pairs`, which lists no pair."""
     n = len(ds)
     picks = (
@@ -588,7 +600,7 @@ def _oracle_pairs(ds: DefiningSet, seed: int) -> list[tuple[int, RingVector]]:
     pairs, last, out = ds.word_pairs(), -1, []
     for j in picks:
         t1, t2 = next(itertools.islice(pairs, j - last - 1, None))
-        out.append((j, RingVector(ds.m, t1, t2)))
+        out.append((j, RingVector(ds.m, t1, t2).elements()))
         last = j
     return out
 
@@ -604,17 +616,23 @@ def enumerate_code(
 
     The default path takes the Lee weight of every a-part alpha at once,
     as n - mu_hat(alpha) from one Walsh-Hadamard transform of the column
-    multiplicity, and credits each alpha with its 2^m free b-parts; the
-    kernel is the a-parts of weight 0.  The table is the generator rows,
-    so it builds its codewords only when they are read.  Before that,
-    sampled messages (all of them for m <= 2) are spot-checked along a
-    chain: :meth:`RingVector.dot`, one coordinate at a time, must give
-    the word-wide :func:`encode` value at every coordinate when n <= 256
-    and at 256 seeded picks otherwise (:func:`_oracle_pairs`); that
-    codeword must be b times the XOR of the rows alpha selects; and
-    twice that word's weight the transform's.  The rows share their words
-    with :func:`encode`, so the links that see a fault in those words are
-    the first and the last, which walk the blocks apart from them.
+    multiplicity (:attr:`DefiningSet.lee_weights`, cached on the set), and
+    credits each alpha with its 2^m free b-parts; the kernel is the
+    a-parts of weight 0.  The table is the generator rows, so it builds
+    its codewords only when they are read.  Before that, sampled messages
+    (all of them for m <= 2) are spot-checked along a chain: the ring's
+    :func:`~icodes.ring.dot`, the one per-coordinate dot that
+    :meth:`RingVector.dot` runs too, sums v_i * d_i one coordinate at a
+    time through the elements' own * and +, and must give the word-wide
+    :func:`encode` value at every coordinate when n <= 256 and at 256
+    seeded picks otherwise (:func:`_oracle_pairs`).  Each message's m
+    elements are read once per message and each picked pair's once per
+    code, from :meth:`DefiningSet.word_pairs`: the oracle reads no
+    coordinate word, row or step table.  That codeword must be b times
+    the XOR of the rows alpha selects, and twice that word's weight the
+    transform's.  The rows share their words with :func:`encode`, so the
+    links that see a fault in those words are the first and the last,
+    which walk the blocks apart from them.
     collapse_beta=False forces the plain 4^m message walk with full ring
     arithmetic everywhere and reads no row: its distinct words are the
     table's rows, so a word set that is not a subspace fails the table's
@@ -655,17 +673,16 @@ def enumerate_code(
     else:
         if agreement_samples is None:
             agreement_samples = 16 if m <= 2 else 8
-        weights = list(ds.mu)
-        walsh_hadamard(weights)
-        weights = [n - total for total in weights]
+        weights = ds.lee_weights
         rows = ds.rows
         if agreement_samples > 0:
             seed = m * 0x9E3779B1 ^ n
             oracle = _oracle_pairs(ds, seed)
             for v in _sample_messages(m, agreement_samples, seed):
                 codeword = encode(v, ds)
+                message = v.elements()
                 _check(
-                    all(v.dot(d) == codeword.element(j + 1) for j, d in oracle),
+                    all(dot(message, d) == codeword.element(j + 1) for j, d in oracle),
                     "per-coordinate ring arithmetic disagrees with the word-wide evaluation",
                 )
                 word = _combine(rows, v.s_word)

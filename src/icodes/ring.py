@@ -11,7 +11,9 @@ the Hamming weight of its Gray image.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Iterable
 
 SYMBOLS = ("0", "a", "b", "c")
 
@@ -78,3 +80,9 @@ def addition_table() -> list[list[RingElement]]:
 def multiplication_table() -> list[list[RingElement]]:
     """4x4 table of x * y in the canonical element order."""
     return [[x * y for y in ELEMENTS] for x in ELEMENTS]
+
+
+def dot(xs: Iterable[RingElement], ys: Iterable[RingElement]) -> RingElement:
+    """Inner product: the sum of the products x_i * y_i, one coordinate at
+    a time through the elements' own multiplication and addition."""
+    return sum(map(operator.mul, xs, ys), ZERO)

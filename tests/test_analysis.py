@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from icodes import analysis, construction
-from icodes.geometry import gf2_basis
+from icodes.geometry import bit_string, gf2_basis
 from icodes.analysis import ALL_ANALYSES
 from icodes.cli import main
 from icodes import (
@@ -30,12 +30,14 @@ from icodes import (
     griesmer_check,
     is_minimal_exhaustive,
     is_self_orthogonal,
+    minimal_from_weights,
     predicted_distribution,
     simplex_structure,
     theta_conditions,
     verify_against_prediction,
     weights_divisible_by_4,
 )
+from test_construction import generic_sets_with_zero_and_repeats
 
 
 def spec(variant, m, M=(), N=()):
@@ -292,6 +294,23 @@ def test_ab_condition_zero_code_rejected():
         ab_condition(binary_table(2, [0]))
 
 
+def minimality_paths(ds):
+    """The image of ds and the rank scan's finding on it (None for a zero
+    code).  The finding must equal the pairwise oracle's, verdict and
+    witness, and the weight function's verdict; the same code as a built
+    word list must get the same certificates."""
+    # the ring-vs-rows spot check is covered elsewhere
+    image = gray_image(enumerate_code(ds, agreement_samples=0))
+    if image.min_nonzero_weight() is None:
+        return None
+    finding = is_minimal_exhaustive(image)
+    assert (finding.minimal, finding.witness) == pairwise_minimality(image)
+    assert minimal_from_weights(ds.lee_weights) == finding.minimal
+    # the image keeps its rows; the same code as a built word list
+    assert_same_certificates(image, binary_table(image.length, image.codewords))
+    return image, finding
+
+
 def test_ab_implies_exhaustive_minimality_on_sweep():
     decided = non_minimal = 0
     for variant in (Variant.T1, Variant.T2, Variant.T3, Variant.T4, Variant.T5):
@@ -304,19 +323,69 @@ def test_ab_implies_exhaustive_minimality_on_sweep():
                         ds = build_defining_set(spec(variant, m, M, N))
                     except EmptyDefiningSetError:
                         continue
-                    # the ring-vs-rows spot check is covered elsewhere
-                    image = gray_image(enumerate_code(ds, agreement_samples=0))
-                    if image.min_nonzero_weight() is None:
+                    found = minimality_paths(ds)
+                    if found is None:
                         continue
-                    finding = is_minimal_exhaustive(image)
-                    assert (finding.minimal, finding.witness) == pairwise_minimality(image)
-                    # the image keeps its rows; the same code as a built word list
-                    assert_same_certificates(image, binary_table(image.length, image.codewords))
+                    image, finding = found
                     decided += 1
                     non_minimal += not finding.minimal
                     if ab_condition(image).holds:
                         assert finding.minimal
     assert (decided, non_minimal) == (1524, 192)
+    # GENERIC sets with zero and repeated members have many more weights
+    verdicts = Counter(
+        found[1].minimal
+        for found in map(minimality_paths, generic_sets_with_zero_and_repeats(14))
+        if found is not None
+    )
+    assert verdicts[True] and verdicts[False]
+
+
+@pytest.mark.parametrize("m", [12, 14])
+def test_weight_function_and_rank_scan_agree_on_large_non_minimal_codes(m):
+    # |M| = m-1: one a-part weighs twice the others, a triple a + a = 2a
+    s = spec(Variant.T2, m, set(range(1, m)), {m})
+    ds = build_defining_set(s)
+    image = gray_image(enumerate_code(ds))
+    assert not minimal_from_weights(ds.lee_weights)
+    finding = is_minimal_exhaustive(image)
+    assert not finding.minimal
+    covered, covering = finding.witness
+    assert covered & covering == covered and covered != covering
+    report = analyze(s, analyses=["minimal"])
+    assert report.minimal == "no"
+    assert report.minimal_witness == tuple(bit_string(w, image.length) for w in finding.witness)
+
+
+def disjoint_pair_exists(weights) -> bool:
+    """Brute force: some x, y of nonzero weight with W(x) + W(y) = W(x ^ y)."""
+    size = len(weights)
+    return any(
+        weights[x] and weights[y] and weights[x] + weights[y] == weights[x ^ y]
+        for x in range(size)
+        for y in range(size)
+    )
+
+
+def test_minimal_from_weights_looks_up_or_transforms_by_level_size(monkeypatch):
+    transformed = []
+    real = analysis.walsh_hadamard
+    monkeypatch.setattr(analysis, "walsh_hadamard", lambda v: transformed.append(len(v)) or real(v))
+    # small levels: each triple's XORs are looked up directly
+    rng = random.Random(5)
+    for m in (2, 3, 4):
+        for _ in range(40):
+            weights = [0] + [rng.choice((0, 1, 2, 3, 4)) for _ in range(1, 1 << m)]
+            assert minimal_from_weights(weights) == (not disjoint_pair_exists(weights))
+    assert transformed == []
+    # m = 8 with levels of 63 or 64 words picked by the top two bits of x:
+    # 2 + 3 = 5 and 2 + 5 = 7 are triples, so both are counted by transforms,
+    # but x ^ y lands in the third level only when 11 holds level 5
+    for top_levels, minimal in (((5, 2, 3, 7), True), ((5, 2, 3, 5), False)):
+        weights = [0] + [top_levels[x >> 6] for x in range(1, 256)]
+        assert minimal_from_weights(weights) is minimal
+        assert disjoint_pair_exists(weights) is not minimal
+    assert transformed and set(transformed) == {256}
 
 
 # --- Griesmer ---------------------------------------------------------------------
@@ -515,6 +584,56 @@ def test_analyze_builds_the_defining_set_once(monkeypatch):
     s = spec(Variant.T2, 5, {1, 2, 3}, {4})
     assert analyze(s).prediction_diffs == ()
     assert calls == [s]
+
+
+@pytest.mark.parametrize(
+    "s, source, target",
+    [
+        # non-minimal, k = 4: its one word of weight 32 moved down to 16 leaves
+        # no triple, so the weight function says minimal
+        (spec(Variant.T2, 4, {1, 2, 3}, {4}), 32, 16),
+        # minimal, k = 5: a word of weight 64 moved up to 96 = 48 + 48 makes one
+        (spec(Variant.T2, 5, {1, 2, 3}, {4}), 64, 96),
+    ],
+    ids=["false-minimal-verdict", "false-non-minimal-verdict"],
+)
+def test_tampered_weight_list_fails_the_rank_scan(monkeypatch, s, source, target):
+    real = analysis.enumerate_code
+
+    def tampering(ds, **options):
+        table = real(ds, **options)
+        weights = ds.lee_weights
+        weights[weights.index(source)] = target
+        return table
+
+    monkeypatch.setattr(analysis, "enumerate_code", tampering)
+    # an explicit raise, so it also holds under python -O
+    with pytest.raises(AssertionError, match="weight function and the rank scan disagree"):
+        analyze(s)
+
+
+def test_analyze_transforms_mu_once_and_skips_the_rank_scan_above_rank_8(monkeypatch):
+    transformed = []
+    for module in (analysis, construction):
+        real = module.walsh_hadamard
+        monkeypatch.setattr(
+            module, "walsh_hadamard", lambda v, real=real: transformed.append(len(v)) or real(v)
+        )
+
+    def refuse(table):
+        raise AssertionError("rank scan ran")
+
+    monkeypatch.setattr(analysis, "is_minimal_exhaustive", refuse)
+    assert construction.RANK_SCAN_CROSS_CHECK_K == 8
+    # k = 9 and 10, two weights without a triple: decided by the weights alone
+    for s in (spec(Variant.T2, 9, {1, 2, 3, 4, 5, 6, 7}, {1, 2}), spec(Variant.T2, 10, {1, 2, 3}, {4})):
+        transformed.clear()
+        report = analyze(s)
+        assert report.minimal == "yes-exhaustive" and report.params.k == s.m
+        assert transformed == [1 << s.m]
+    # k = 8: the minimal verdict is cross-checked by the rank scan
+    with pytest.raises(AssertionError, match="rank scan ran"):
+        analyze(spec(Variant.T2, 8, {1, 2, 3}, {4}))
 
 
 @pytest.mark.parametrize(

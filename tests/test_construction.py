@@ -27,6 +27,7 @@ from icodes import (
     DimensionMismatchError,
     ELEMENTS,
     EmptyDefiningSetError,
+    RingElement,
     RingVector,
     Variant,
     binary_params,
@@ -508,6 +509,29 @@ def test_coordinate_word_oracle_survives_optimized_mode():
         "AssertionError: per-coordinate ring arithmetic disagrees with the word-wide evaluation"
         in result.stderr
     )
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [
+        # a * 0 = b
+        ("__mul__", lambda x, y: ELEMENTS[(x.s | y.s) << 1]),
+        # b + b = b
+        ("__add__", lambda x, y: ELEMENTS[(x.s ^ y.s) | (x.t | y.t) << 1]),
+    ],
+    ids=["mul", "add"],
+)
+def test_patched_ring_arithmetic_fails_the_oracle(monkeypatch, name, wrong):
+    # the oracle runs the ring's own operations one coordinate at a time,
+    # so a change made after import reaches it (the word-wide steps were
+    # read from the tables at import and do not see it)
+    ds = build_defining_set(spec(Variant.T2, 3, {1}, {2}))
+    monkeypatch.setattr(RingElement, name, wrong)
+    with pytest.raises(
+        AssertionError,
+        match="per-coordinate ring arithmetic disagrees with the word-wide evaluation",
+    ):
+        enumerate_code(ds)
 
 
 # --- enumeration ---------------------------------------------------------------
