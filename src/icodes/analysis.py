@@ -12,15 +12,16 @@ each closed-form fact once.  The certificates read no codeword list:
 they work on the image's :attr:`~icodes.construction.CodeTable.rows`,
 the canonical reduced echelon basis every table is reduced to once, on
 construction (for an enumerated code, from its m generator rows).
-Minimality comes from the weight function W(alpha) = n - mu_hat(alpha)
-that the defining set holds (:func:`minimal_from_weights`), so a code
-whose weights have no triple a + b = c is decided without touching a
-codeword.  The rank scan on the distinct nonzero columns of the basis,
+Minimality comes first from the weight function W(alpha) = n -
+mu_hat(alpha) that the defining set holds: a code whose weights have no
+triple a + b = c (:func:`has_weight_triple`) is minimal without touching
+a codeword.  The rank scan on the distinct nonzero columns of the basis,
 the points of the code (:func:`is_minimal_exhaustive`, the
 cutting-blocking-set criterion), is the independent slow path: in
-``analyze`` it supplies the witness of every non-minimal code, the only
-pair ever built as words, and cross-checks a minimal verdict when the
-image has rank at most RANK_SCAN_CROSS_CHECK_K.  Self-orthogonality
+``analyze`` it decides every code with a weight triple and supplies the
+witness of every non-minimal one, the only pair ever built as words, and
+cross-checks a triple-free code when the image has rank at most
+RANK_SCAN_CROSS_CHECK_K.  Self-orthogonality
 pairs the basis words, and the simplex check counts the columns.
 ``analyze`` judges each certificate against its closed-form expectation
 where it computes it.  ``verify_against_prediction`` is ``analyze``'s weight-profile
@@ -39,7 +40,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .construction import (
-    RANK_SCAN_CROSS_CHECK_K,
     Alphabet,
     CodeParams,
     CodeTable,
@@ -54,7 +54,7 @@ from .construction import (
     weight_enumerator,
 )
 from .errors import EmptyDefiningSetError
-from .geometry import bit_string, walsh_hadamard
+from .geometry import bit_string
 
 #: Everything cmd_analyze knows how to run.
 ALL_ANALYSES = (
@@ -258,63 +258,35 @@ class MinimalityFinding:
 
 #: Fixes the order in which the minimality test scans the points of a code.
 _POINT_ORDER_SEED = 0x1C0DE5
+#: Largest image rank k at which the rank scan cross-checks a code that the
+#: weights alone call minimal (it decides every code with a weight triple).
+RANK_SCAN_CROSS_CHECK_K = 8
 
 
-def minimal_from_weights(weights: Sequence[int]) -> bool:
-    """Whether a binary linear code is minimal, from its weight function.
+def has_weight_triple(weights: Sequence[int]) -> bool:
+    """Whether some nonzero weights a, b and a + b all occur in the code.
 
     weights[x] is the weight of the codeword of message x in F_2^m (the
     code's Lee weights W, indexed by a-part): no codeword is built.  A
     nonzero codeword u_x lies inside the support of another, u_x ^ u_y
     with u_y nonzero, iff u_x and u_y have disjoint supports, iff W(x) +
-    W(y) = W(x ^ y) (Cohen, Mesnager and Patey, IMACC 2013).  So the code
-    is minimal iff no weight triple a + b = c, all nonzero and a <= b,
-    has x, y, z = x ^ y with W(x) = a, W(y) = b and W(z) = c, a count
-    symmetric in the three levels.  Where the two smallest levels give
-    at most m * 2^m pairs, their XORs are looked up in the third;
-    otherwise the count is 2^-m sum_u A(u) B(u) C(u) over the
-    Walsh-Hadamard transforms of the three level sets.  A code with no
-    triple, like the paper's few-weight ones, costs one pass over W.
+    W(y) = W(x ^ y) (Cohen, Mesnager and Patey, IMACC 2013).  So a code
+    without such a triple of weights is minimal; one with a triple may
+    be either, and :func:`is_minimal_exhaustive` decides it.  The paper's
+    few-weight minimal codes have no triple.
     """
-    sizes = Counter(weights)
-    levels = sorted(w for w in sizes if w)
-    m = len(weights).bit_length() - 1
-    transforms: dict[int, list[int]] = {}
-
-    def members(level: int) -> list[int]:
-        return [x for x, w in enumerate(weights) if w == level]
-
-    def transform(level: int) -> list[int]:
-        if level not in transforms:
-            indicator = [int(w == level) for w in weights]
-            walsh_hadamard(indicator)
-            transforms[level] = indicator
-        return transforms[level]
-
-    for i, a in enumerate(levels):
-        for b in levels[i:]:
-            if a + b not in sizes:
-                continue
-            (few, first), (more, second), (_, third) = sorted(
-                (sizes[w], w) for w in (a, b, a + b)
-            )
-            if few * more <= m << m:
-                xs = members(first)
-                ys = xs if second == first else members(second)
-                if any(weights[x ^ y] == third for x in xs for y in ys):
-                    return False
-            elif sum(p * q * r for p, q, r in zip(transform(a), transform(b), transform(a + b))):
-                return False
-    return True
+    levels = set(weights) - {0}
+    return any(a + b in levels for a in levels for b in levels)
 
 
 def is_minimal_exhaustive(table: CodeTable) -> MinimalityFinding:
     """No nonzero codeword's support may contain another's.
 
-    The slow path beside :func:`minimal_from_weights`, sharing nothing
-    with it: ``analyze`` takes the witness of a non-minimal code from it
-    and cross-checks a minimal verdict with it when the image has rank at
-    most RANK_SCAN_CROSS_CHECK_K.  Decided on the points of the code,
+    The slow path beside :func:`has_weight_triple`, sharing nothing with
+    it: ``analyze`` runs it on every code whose weights have a triple,
+    which it decides and whose witness it supplies, and cross-checks a
+    triple-free code with it when the image has rank at most
+    RANK_SCAN_CROSS_CHECK_K.  Decided on the points of the code,
     the distinct nonzero columns S of its rows (cutting blocking sets:
     Alfarano, Borello and Neri, Adv. Math. Commun. 16 (2022); Tang, Qiu,
     Liao and Zhou, IEEE Trans. Inf. Theory 67(6) (2021)).  The table's
@@ -701,13 +673,13 @@ def analyze(
         ab = ab_condition(image)
         fields["ab_ratio"] = str(ab.ratio)
         fields["ab_holds"] = ab.holds
-        minimal = minimal_from_weights(ds.lee_weights)
-        if minimal and len(image.rows) > RANK_SCAN_CROSS_CHECK_K:
+        triple = has_weight_triple(ds.lee_weights)
+        if not triple and len(image.rows) > RANK_SCAN_CROSS_CHECK_K:
             finding = MinimalityFinding(True, None)
         else:
             finding = is_minimal_exhaustive(image)
             _check(
-                finding.minimal == minimal,
+                triple or finding.minimal,
                 "the weight function and the rank scan disagree on minimality",
             )
         fields["minimal"] = "yes-exhaustive" if finding.minimal else "no"

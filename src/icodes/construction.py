@@ -85,9 +85,6 @@ _S_BIT_OF_SYMBOL = str.maketrans("".join(SYMBOLS), "0101")
 _T_BIT_OF_SYMBOL = str.maketrans("".join(SYMBOLS), "0011")
 #: Most coordinates per code that the agreement check evaluates one by one.
 ORACLE_COORDINATES = 256
-#: Largest image rank k at which a minimal verdict of the weight function is
-#: cross-checked by the rank scan (which runs on every non-minimal code).
-RANK_SCAN_CROSS_CHECK_K = 8
 
 
 def _ring_steps() -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -300,14 +297,14 @@ class DefiningSet:
         return mu
 
     @cached_property
-    def lee_weights(self) -> list[int]:
+    def lee_weights(self) -> tuple[int, ...]:
         """W(alpha) = n - mu_hat(alpha), the Lee weight of the codeword of
         every a-part alpha, from one Walsh-Hadamard transform of :attr:`mu`:
         the one transform that enumeration and the certificates share."""
         weights = list(self.mu)
         walsh_hadamard(weights)
         n = len(self)
-        return [n - total for total in weights]
+        return tuple(n - total for total in weights)
 
     @property
     def pairs(self) -> Iterator[tuple[BitVector, BitVector]]:

@@ -12,7 +12,7 @@ import pytest
 
 from icodes import analysis, construction
 from icodes.geometry import bit_string, gf2_basis
-from icodes.analysis import ALL_ANALYSES
+from icodes.analysis import ALL_ANALYSES, has_weight_triple
 from icodes.cli import main
 from icodes import (
     Alphabet,
@@ -30,7 +30,6 @@ from icodes import (
     griesmer_check,
     is_minimal_exhaustive,
     is_self_orthogonal,
-    minimal_from_weights,
     predicted_distribution,
     simplex_structure,
     theta_conditions,
@@ -297,15 +296,15 @@ def test_ab_condition_zero_code_rejected():
 def minimality_paths(ds):
     """The image of ds and the rank scan's finding on it (None for a zero
     code).  The finding must equal the pairwise oracle's, verdict and
-    witness, and the weight function's verdict; the same code as a built
-    word list must get the same certificates."""
+    witness, and be minimal when the weights have no triple; the same code
+    as a built word list must get the same certificates."""
     # the ring-vs-rows spot check is covered elsewhere
     image = gray_image(enumerate_code(ds, agreement_samples=0))
     if image.min_nonzero_weight() is None:
         return None
     finding = is_minimal_exhaustive(image)
     assert (finding.minimal, finding.witness) == pairwise_minimality(image)
-    assert minimal_from_weights(ds.lee_weights) == finding.minimal
+    assert finding.minimal or has_weight_triple(ds.lee_weights)
     # the image keeps its rows; the same code as a built word list
     assert_same_certificates(image, binary_table(image.length, image.codewords))
     return image, finding
@@ -327,6 +326,8 @@ def test_ab_implies_exhaustive_minimality_on_sweep():
                     if found is None:
                         continue
                     image, finding = found
+                    # on T1-T5 a weight triple occurs exactly in the non-minimal codes
+                    assert has_weight_triple(ds.lee_weights) is not finding.minimal
                     decided += 1
                     non_minimal += not finding.minimal
                     if ab_condition(image).holds:
@@ -347,7 +348,7 @@ def test_weight_function_and_rank_scan_agree_on_large_non_minimal_codes(m):
     s = spec(Variant.T2, m, set(range(1, m)), {m})
     ds = build_defining_set(s)
     image = gray_image(enumerate_code(ds))
-    assert not minimal_from_weights(ds.lee_weights)
+    assert has_weight_triple(ds.lee_weights)
     finding = is_minimal_exhaustive(image)
     assert not finding.minimal
     covered, covering = finding.witness
@@ -355,37 +356,6 @@ def test_weight_function_and_rank_scan_agree_on_large_non_minimal_codes(m):
     report = analyze(s, analyses=["minimal"])
     assert report.minimal == "no"
     assert report.minimal_witness == tuple(bit_string(w, image.length) for w in finding.witness)
-
-
-def disjoint_pair_exists(weights) -> bool:
-    """Brute force: some x, y of nonzero weight with W(x) + W(y) = W(x ^ y)."""
-    size = len(weights)
-    return any(
-        weights[x] and weights[y] and weights[x] + weights[y] == weights[x ^ y]
-        for x in range(size)
-        for y in range(size)
-    )
-
-
-def test_minimal_from_weights_looks_up_or_transforms_by_level_size(monkeypatch):
-    transformed = []
-    real = analysis.walsh_hadamard
-    monkeypatch.setattr(analysis, "walsh_hadamard", lambda v: transformed.append(len(v)) or real(v))
-    # small levels: each triple's XORs are looked up directly
-    rng = random.Random(5)
-    for m in (2, 3, 4):
-        for _ in range(40):
-            weights = [0] + [rng.choice((0, 1, 2, 3, 4)) for _ in range(1, 1 << m)]
-            assert minimal_from_weights(weights) == (not disjoint_pair_exists(weights))
-    assert transformed == []
-    # m = 8 with levels of 63 or 64 words picked by the top two bits of x:
-    # 2 + 3 = 5 and 2 + 5 = 7 are triples, so both are counted by transforms,
-    # but x ^ y lands in the third level only when 11 holds level 5
-    for top_levels, minimal in (((5, 2, 3, 7), True), ((5, 2, 3, 5), False)):
-        weights = [0] + [top_levels[x >> 6] for x in range(1, 256)]
-        assert minimal_from_weights(weights) is minimal
-        assert disjoint_pair_exists(weights) is not minimal
-    assert transformed and set(transformed) == {256}
 
 
 # --- Griesmer ---------------------------------------------------------------------
@@ -586,45 +556,36 @@ def test_analyze_builds_the_defining_set_once(monkeypatch):
     assert calls == [s]
 
 
-@pytest.mark.parametrize(
-    "s, source, target",
-    [
-        # non-minimal, k = 4: its one word of weight 32 moved down to 16 leaves
-        # no triple, so the weight function says minimal
-        (spec(Variant.T2, 4, {1, 2, 3}, {4}), 32, 16),
-        # minimal, k = 5: a word of weight 64 moved up to 96 = 48 + 48 makes one
-        (spec(Variant.T2, 5, {1, 2, 3}, {4}), 64, 96),
-    ],
-    ids=["false-minimal-verdict", "false-non-minimal-verdict"],
-)
-def test_tampered_weight_list_fails_the_rank_scan(monkeypatch, s, source, target):
+def test_tampered_weight_list_fails_the_rank_scan(monkeypatch):
     real = analysis.enumerate_code
 
     def tampering(ds, **options):
+        # non-minimal, k = 4: its one word of weight 32 moved down to 16
+        # leaves no triple, so the weights alone call it minimal
         table = real(ds, **options)
-        weights = ds.lee_weights
-        weights[weights.index(source)] = target
+        weights = list(ds.lee_weights)
+        weights[weights.index(32)] = 16
+        object.__setattr__(ds, "lee_weights", tuple(weights))
         return table
 
     monkeypatch.setattr(analysis, "enumerate_code", tampering)
     # an explicit raise, so it also holds under python -O
     with pytest.raises(AssertionError, match="weight function and the rank scan disagree"):
-        analyze(s)
+        analyze(spec(Variant.T2, 4, {1, 2, 3}, {4}))
 
 
 def test_analyze_transforms_mu_once_and_skips_the_rank_scan_above_rank_8(monkeypatch):
     transformed = []
-    for module in (analysis, construction):
-        real = module.walsh_hadamard
-        monkeypatch.setattr(
-            module, "walsh_hadamard", lambda v, real=real: transformed.append(len(v)) or real(v)
-        )
+    real = construction.walsh_hadamard
+    monkeypatch.setattr(
+        construction, "walsh_hadamard", lambda v: transformed.append(len(v)) or real(v)
+    )
 
     def refuse(table):
         raise AssertionError("rank scan ran")
 
     monkeypatch.setattr(analysis, "is_minimal_exhaustive", refuse)
-    assert construction.RANK_SCAN_CROSS_CHECK_K == 8
+    assert analysis.RANK_SCAN_CROSS_CHECK_K == 8
     # k = 9 and 10, two weights without a triple: decided by the weights alone
     for s in (spec(Variant.T2, 9, {1, 2, 3, 4, 5, 6, 7}, {1, 2}), spec(Variant.T2, 10, {1, 2, 3}, {4})):
         transformed.clear()
