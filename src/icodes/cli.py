@@ -7,8 +7,9 @@ brute force against the closed forms, and ``tables`` dumps the ring's
 addition and multiplication tables.
 
 Exit codes: 0 success / all match, 1 a finding contradicts its closed-form
-expectation, 2 usage or degenerate-parameter error, 3 work budget exceeded,
-141 (128 + SIGPIPE) the reader closed stdout before the output ended.
+expectation, 2 usage error or (construct only) an empty defining set,
+3 work budget exceeded, 141 (128 + SIGPIPE) the reader closed stdout
+before the output ended.
 """
 
 from __future__ import annotations
@@ -118,7 +119,9 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError covers malformed JSON and text that is not UTF-8;
+        # RecursionError, JSON nested deeper than the decoder can follow
+        except (OSError, ValueError, RecursionError) as exc:
             raise UsageError(f"cannot read config {path}: {exc}") from None
         if not isinstance(doc, dict) or not isinstance(doc.get("jobs"), list):
             raise UsageError("config must be a JSON object with a 'jobs' list")

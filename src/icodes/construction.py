@@ -33,14 +33,13 @@ and its codewords are built from the basis, in increasing order, only
 when something reads :attr:`CodeTable.codewords`.  :func:`encode` takes
 every coordinate at once, moving n-bit element masks through the ring's
 tables.  The sampled agreement check of the fast walk is a chain:
-per-coordinate ring arithmetic (the ring's :func:`~icodes.ring.dot`,
-which :meth:`RingVector.dot` runs too, over the elements of
-:meth:`DefiningSet.word_pairs` on up to 256 coordinates) against
-:func:`encode`, :func:`encode` against the rows, and the rows against
-the transform of mu; the first and last links walk the blocks apart
-from the coordinate words.  The 4^m walk passes its own distinct
-ring-evaluated words as rows, so it reads no row, and checks the
-message profile it counted against the derived one.  Each law is checked
+per-coordinate ring arithmetic (the ring's :func:`~icodes.ring.dot`
+over the elements of :meth:`DefiningSet.word_pairs` on up to 256
+coordinates) against :func:`encode`, :func:`encode` against the rows,
+and the rows against the transform of mu; the first and last links walk
+the blocks apart from the coordinate words.  The 4^m walk passes its own
+distinct ring-evaluated words as rows, so it reads no row, and checks
+the message profile it counted against the derived one.  Each law is checked
 with explicit raises that survive ``python -O``: the laws of the weight
 data and the rank when a table is constructed, so no table exists unless
 they hold, and the laws that read codewords whenever codewords are built.
@@ -78,11 +77,13 @@ from .ring import (
 #: Default cap on elementary parity operations for one code enumeration.
 DEFAULT_WORK_BUDGET = 1 << 32
 
+#: The symbols in the canonical 0, a, b, c order, as one text.
+_SYMBOL_TEXT = "".join(SYMBOLS)
 #: Hex digit s_i + 2*t_i (a vector's two 0/1 texts read as hex) to its symbol.
-_SYMBOL_OF_DIGIT = str.maketrans("0123", "".join(SYMBOLS))
+_SYMBOL_OF_DIGIT = str.maketrans("0123", _SYMBOL_TEXT)
 #: A symbol to its s bit, and to its t bit, as 0/1 text.
-_S_BIT_OF_SYMBOL = str.maketrans("".join(SYMBOLS), "0101")
-_T_BIT_OF_SYMBOL = str.maketrans("".join(SYMBOLS), "0011")
+_S_BIT_OF_SYMBOL = str.maketrans(_SYMBOL_TEXT, "0101")
+_T_BIT_OF_SYMBOL = str.maketrans(_SYMBOL_TEXT, "0011")
 #: Most coordinates per code that the agreement check evaluates one by one.
 ORACLE_COORDINATES = 256
 
@@ -138,18 +139,19 @@ class RingVector:
                 raise ValueError(f"word {word:#x} does not fit in {self.m} bits")
 
     @classmethod
-    def from_elements(cls, elements: Sequence[RingElement]) -> RingVector:
-        # one text of symbols, last coordinate (the highest bit) first
-        text = "".join([x.symbol for x in reversed(elements)]) or "0"
-        return cls(
-            len(elements),
-            int(text.translate(_S_BIT_OF_SYMBOL), 2),
-            int(text.translate(_T_BIT_OF_SYMBOL), 2),
-        )
-
-    @classmethod
     def from_string(cls, text: str) -> RingVector:
-        return cls.from_elements([RingElement.from_symbol(ch) for ch in text])
+        """The inverse of ``str``: one symbol of ``0abc`` per coordinate,
+        coordinate 1 first."""
+        unknown = text.lstrip(_SYMBOL_TEXT)
+        if unknown:
+            raise ValueError(f"unknown ring element {unknown[0]!r}")
+        # the last coordinate (the highest bit) first, as int() reads it
+        digits = text[::-1] or "0"
+        return cls(
+            len(text),
+            int(digits.translate(_S_BIT_OF_SYMBOL), 2),
+            int(digits.translate(_T_BIT_OF_SYMBOL), 2),
+        )
 
     def element(self, i: int) -> RingElement:
         """Coordinate i (1-based)."""
@@ -166,16 +168,6 @@ class RingVector:
     def gray_bits(self) -> int:
         """Gray image as a 2m-bit word: t-part low, (s+t)-part high."""
         return self.t_word | (self.s_word ^ self.t_word) << self.m
-
-    def dot(self, other: RingVector) -> RingElement:
-        """Ring inner product, evaluated coordinate by coordinate in I."""
-        if self.m != other.m:
-            raise DimensionMismatchError(f"dimension mismatch: {self.m} vs {other.m}")
-        return dot(self.elements(), other.elements())
-
-    def scaled_by(self, r: RingElement) -> RingVector:
-        """Coordinatewise ring action r*x (module structure)."""
-        return RingVector.from_elements([r * x for x in self.elements()])
 
     def __add__(self, other: RingVector) -> RingVector:
         if self.m != other.m:
@@ -618,14 +610,13 @@ def enumerate_code(
     a-parts of weight 0.  The table is the generator rows, so it builds
     its codewords only when they are read.  Before that, sampled messages
     (all of them for m <= 2) are spot-checked along a chain: the ring's
-    :func:`~icodes.ring.dot`, the one per-coordinate dot that
-    :meth:`RingVector.dot` runs too, sums v_i * d_i one coordinate at a
-    time through the elements' own * and +, and must give the word-wide
-    :func:`encode` value at every coordinate when n <= 256 and at 256
-    seeded picks otherwise (:func:`_oracle_pairs`).  Each message's m
-    elements are read once per message and each picked pair's once per
-    code, from :meth:`DefiningSet.word_pairs`: the oracle reads no
-    coordinate word, row or step table.  That codeword must be b times
+    :func:`~icodes.ring.dot`, the one per-coordinate dot, sums v_i * d_i
+    one coordinate at a time through the elements' own * and +, and must
+    give the word-wide :func:`encode` value at every coordinate when
+    n <= 256 and at 256 seeded picks otherwise (:func:`_oracle_pairs`).
+    Each message's m elements are read once per message and each picked
+    pair's once per code, from :meth:`DefiningSet.word_pairs`: the oracle
+    reads no coordinate word, row or step table.  That codeword must be b times
     the XOR of the rows alpha selects, and twice that word's weight the
     transform's.  The rows share their words with :func:`encode`, so the
     links that see a fault in those words are the first and the last,

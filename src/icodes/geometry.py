@@ -77,10 +77,6 @@ class BitVector:
         self._check_dimension(other)
         return (self.bits & other.bits).bit_count() & 1
 
-    def __xor__(self, other: BitVector) -> BitVector:
-        self._check_dimension(other)
-        return BitVector(self.m, self.bits ^ other.bits)
-
     def __str__(self) -> str:
         return bit_string(self.bits, self.m)
 
@@ -162,9 +158,6 @@ class SimplicialComplex:
 
     def __len__(self) -> int:
         return len(self._member_bits)
-
-    def __iter__(self) -> Iterator[BitVector]:
-        return iter(self.members())
 
     def __contains__(self, item: object) -> bool:
         if not isinstance(item, BitVector):

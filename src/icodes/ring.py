@@ -36,12 +36,6 @@ class RingElement:
         # a^2 = b, ab = b^2 = 0, so (as+bt)(as'+bt') = b*(s*s').
         return ELEMENTS[(self.s & other.s) << 1]
 
-    def scaled(self, bit: int) -> RingElement:
-        """Scalar action of F_2: x*0 = 0 and x*1 = x."""
-        if bit not in (0, 1):
-            raise ValueError(f"scalar must be 0 or 1, got {bit}")
-        return self if bit else ZERO
-
     def gray(self) -> tuple[int, int]:
         """Gray image (t, s+t) of a*s + b*t."""
         return (self.t, self.s ^ self.t)

@@ -188,7 +188,7 @@ def test_criterion_4_lemma_suite(capsys):
                 direct = sum(-1 if alpha.dot(t) else 1 for t in members)
                 if direct != (1 << len(M)) * support_disjoint(alpha, M):
                     problems.append(f"char sum at m={m} M={sorted(M)} a={alpha}")
-                if character_sum(alpha, cx) != direct:
+                if character_sum(alpha, members) != direct:
                     problems.append(f"char sum impl at m={m}")
 
     # indicator counts, both parts, all m <= 5
@@ -207,7 +207,7 @@ def test_criterion_4_lemma_suite(capsys):
             comp = list(cx.complement())
             for alpha in all_vectors(m):
                 lhs = sum(-1 if alpha.dot(t) else 1 for t in comp)
-                rhs = ((1 << m) if alpha.bits == 0 else 0) - character_sum(alpha, cx)
+                rhs = ((1 << m) if alpha.bits == 0 else 0) - character_sum(alpha, cx.members())
                 if lhs != rhs:
                     problems.append(f"complement identity at m={m} M={sorted(M)}")
 

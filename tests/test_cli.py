@@ -342,14 +342,16 @@ def test_analyze_config_batch(tmp_path: Path, streamed_keys):
     assert streamed_keys == [[]]
 
 
-def test_analyze_config_validation(tmp_path: Path):
+def test_analyze_config_validation(tmp_path: Path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"jobs": [{"variant": "T7", "m": 2}]}), encoding="utf-8")
-    code, _ = run(["analyze", "--config", str(path)])
-    assert code == 2
-    path.write_text("not json", encoding="utf-8")
-    code, _ = run(["analyze", "--config", str(path)])
-    assert code == 2
+    assert_one_line_usage_error(["analyze", "--config", str(path)], capsys)
+    # malformed JSON, text that is not UTF-8, and nesting deeper than the
+    # decoder can follow are each one "cannot read config" line
+    for content in (b"not json", b"\xff\xfe{}", b"[" * 100000):
+        path.write_bytes(content)
+        err = assert_one_line_usage_error(["analyze", "--config", str(path)], capsys)
+        assert err.startswith(f"error: cannot read config {path}: "), err
 
 
 def assert_one_line_usage_error(argv, capsys):
@@ -358,6 +360,7 @@ def assert_one_line_usage_error(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def test_analyze_config_job_not_an_object(tmp_path: Path, capsys):

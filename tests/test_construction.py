@@ -40,6 +40,7 @@ from icodes import (
 )
 from icodes.analysis import is_minimal_exhaustive, is_self_orthogonal
 from icodes.geometry import all_vectors, character_sum, gf2_basis, walsh_hadamard
+from icodes.ring import dot
 
 # Independent mini-ring: symbol tables only, no bit tricks.
 ADD = {
@@ -260,9 +261,10 @@ def check_blocks_against_pairs(ds, pairs, messages):
     assert ds.rows == tuple(
         sum((t1.bits >> i & 1) << j for j, (t1, _t2) in enumerate(pairs)) for i in range(m)
     )
+    points = [RingVector(m, t1.bits, t2.bits).elements() for t1, t2 in pairs]
     for v in messages:
-        expected = [v.dot(RingVector(m, t1.bits, t2.bits)) for t1, t2 in pairs]
-        assert encode(v, ds) == RingVector.from_elements(expected)
+        message = v.elements()
+        assert encode(v, ds).elements() == tuple(dot(message, d) for d in points)
 
 
 def test_blocks_agree_with_the_pair_list_up_to_m4():
@@ -369,23 +371,17 @@ def test_ring_vector_round_trip_and_weight():
     assert v.element(2).symbol == "a"
     for i in range(1, 5):
         assert v.element(i) is ELEMENTS[i - 1]
-    assert RingVector.from_elements(v.elements()) == v
+    assert v.elements() == ELEMENTS
     rng = random.Random(2024)
-    for length in (1, 1, 1, 70, 71, 128):
+    for length in (1, 1, 1, 65, 70, 71, 127, 128, 129, 1000, 4099):
         w = RingVector(length, rng.randrange(1 << length), rng.randrange(1 << length))
         assert str(w) == "".join(x.symbol for x in w.elements())
         assert RingVector.from_string(str(w)) == w
-
-
-def test_from_elements_reads_back_each_coordinate():
-    rng = random.Random(77)
-    for length in (65, 127, 128, 129, 1000, 4099):
-        elements = [rng.choice(ELEMENTS) for _ in range(length)]
-        v = RingVector.from_elements(elements)
-        assert v.m == length
-        assert [v.element(i) for i in range(1, length + 1)] == elements
     with pytest.raises(ValueError, match="length must be positive"):
-        RingVector.from_elements([])
+        RingVector.from_string("")
+    for text in ("d", "0ad", "ab "):
+        with pytest.raises(ValueError, match="unknown ring element"):
+            RingVector.from_string(text)
 
 
 def test_ring_vector_gray_blocks():
@@ -450,15 +446,17 @@ def generic_sets_with_zero_and_repeats(seed):
 
 def test_word_wide_encode_equals_per_coordinate_dot():
     """Every message of every T1..T5 code up to m = 3, and of GENERIC sets
-    with repeated and zero members, against RingVector.dot one coordinate
-    at a time."""
+    with repeated and zero members, against the ring's dot one coordinate
+    at a time, reading each message's and each pair's elements once."""
     sets = [ds for m in range(1, 4) for ds in defining_sets(m)]
     for ds in [*sets, *generic_sets_with_zero_and_repeats(14)]:
         m = ds.m
-        points = [RingVector(m, t1, t2) for t1, t2 in ds.word_pairs()]
+        points = [RingVector(m, t1, t2).elements() for t1, t2 in ds.word_pairs()]
         for s_word, t_word in itertools.product(range(1 << m), repeat=2):
             v = RingVector(m, s_word, t_word)
-            assert encode(v, ds) == RingVector.from_elements([v.dot(d) for d in points]), ds
+            message = v.elements()
+            expected = tuple(dot(message, d) for d in points)
+            assert encode(v, ds).elements() == expected, ds
 
 
 def test_coordinate_words_are_the_pair_bits():
@@ -830,15 +828,14 @@ def test_kernel_law_and_totals():
 
 
 def test_code_is_a_module_over_the_ring():
-    from icodes import ELEMENTS
-
     table = enumerate_code(build_defining_set(spec(Variant.T2, 3, {1}, {2})))
     codewords = set(table.codewords)
+    elements = {u.elements() for u in table.codewords}
     for u in table.codewords:
         for v in table.codewords:
             assert u + v in codewords
         for r in ELEMENTS:
-            assert u.scaled_by(r) in codewords
+            assert tuple(r * x for x in u.elements()) in elements
 
 
 def test_budget_exceeded_reports_required_work():

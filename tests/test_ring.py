@@ -107,14 +107,6 @@ def test_lee_weight_is_gray_hamming_weight():
         assert x.lee_weight() == sum(x.gray())
 
 
-def test_scalar_action():
-    for x in ELEMENTS:
-        assert x.scaled(0) == ZERO
-        assert x.scaled(1) == x
-    with pytest.raises(ValueError):
-        A.scaled(2)
-
-
 def test_symbol_round_trip():
     for x in ELEMENTS:
         assert RingElement.from_symbol(x.symbol) == x
