@@ -643,7 +643,6 @@ def analyze(
         fields["degenerate"] = True
         fields["degenerate_reason"] = "zero code (k = 0, distance undefined)"
 
-    image = params = None
     if "gray" in requested:
         image = gray_image(table)
         params = binary_params(image)
@@ -653,7 +652,7 @@ def analyze(
             if params.as_list() != expected:
                 diffs.append(f"binary params {params} != predicted {expected}")
 
-    if image is not None and "self-orthogonal" in requested:
+    if "self-orthogonal" in requested:
         orth = is_self_orthogonal(image)
         div4 = weights_divisible_by_4(image)
         fields["self_orthogonal"] = "yes-direct" if orth.self_orthogonal else "no"
@@ -669,7 +668,7 @@ def analyze(
         if claims and claims.size_m + claims.size_n >= 2 and not orth.self_orthogonal:
             diffs.append("expected self-orthogonal (|M|+|N| >= 2)")
 
-    if image is not None and not zero_code and "minimal" in requested:
+    if not zero_code and "minimal" in requested:
         ab = ab_condition(image)
         fields["ab_ratio"] = str(ab.ratio)
         fields["ab_holds"] = ab.holds
@@ -698,7 +697,7 @@ def analyze(
         ):
             diffs.append("expected a minimal code for these parameters")
 
-    if params is not None and not zero_code and "griesmer" in requested:
+    if not zero_code and "griesmer" in requested:
         finding = griesmer_check(params.n, params.k, params.d)
         fields["griesmer_sum_at_d"] = finding.sum_at_d
         fields["griesmer_sum_at_d_plus_1"] = finding.sum_at_d_plus_1
@@ -719,7 +718,7 @@ def analyze(
                     f"{finding.status.value}"
                 )
 
-    if image is not None and not zero_code and "simplex" in requested:
+    if not zero_code and "simplex" in requested:
         if table.num_weights == 1:
             finding = simplex_structure(image)
             fields["simplex"] = finding

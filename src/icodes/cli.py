@@ -309,10 +309,7 @@ def _spec(variant, m: int, M, N) -> DefiningSetSpec:
         raise UsageError(f"unknown variant {variant!r}") from None
     if variant is Variant.GENERIC:
         raise UsageError("the CLI drives the named variants T1..T5")
-    try:
-        return DefiningSetSpec(variant=variant, m=m, M=_subset("M", M), N=_subset("N", N))
-    except (ValueError, IndexError) as exc:
-        raise UsageError(str(exc)) from None
+    return DefiningSetSpec(variant=variant, m=m, M=_subset("M", M), N=_subset("N", N))
 
 
 def cmd_construct(args: argparse.Namespace, out) -> int:
@@ -321,19 +318,7 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
     try:
         ds = build_defining_set(spec)
     except EmptyDefiningSetError as exc:
-        if args.format == "json":
-            _emit(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "construct",
-                    "degenerate": True,
-                    "error": f"empty defining set: {exc}",
-                },
-                out,
-            )
-        else:
-            print(f"degenerate parameters: empty defining set ({exc})", file=out)
-        return EXIT_USAGE
+        raise UsageError(f"empty defining set: {exc}") from None
     table = enumerate_code(ds, work_budget=budget)
     image = gray_image(table)
     params = binary_params(image)
@@ -494,8 +479,6 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
             reports.append(
                 analyze(spec, analyses=requested, work_budget=budget)
             )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
         except BudgetExceededError as exc:
             budget_hit = exc
             break

@@ -32,14 +32,9 @@ distribution and kernel size; its message profile is derived from those,
 and its codewords are built from the basis, in increasing order, only
 when something reads :attr:`CodeTable.codewords`.  :func:`encode` takes
 every coordinate at once, moving n-bit element masks through the ring's
-tables.  The sampled agreement check of the fast walk is a chain:
-per-coordinate ring arithmetic (the ring's :func:`~icodes.ring.dot`
-over the elements of :meth:`DefiningSet.word_pairs` on up to 256
-coordinates) against :func:`encode`, :func:`encode` against the rows,
-and the rows against the transform of mu; the first and last links walk
-the blocks apart from the coordinate words.  The 4^m walk passes its own
-distinct ring-evaluated words as rows, so it reads no row, and checks
-the message profile it counted against the derived one.  Each law is checked
+tables.  :func:`enumerate_code` always spot-checks the rows and the
+transform against ring arithmetic on sampled messages
+(:func:`_spot_check` states the chain).  Each law is checked
 with explicit raises that survive ``python -O``: the laws of the weight
 data and the rank when a table is constructed, so no table exists unless
 they hold, and the laws that read codewords whenever codewords are built.
@@ -594,108 +589,84 @@ def _oracle_pairs(ds: DefiningSet, seed: int) -> list[tuple[int, tuple[RingEleme
     return out
 
 
-def enumerate_code(
-    ds: DefiningSet,
-    *,
-    work_budget: int | None = None,
-    collapse_beta: bool = True,
-    agreement_samples: int | None = None,
-) -> CodeTable:
+def _spot_check(ds: DefiningSet) -> None:
+    """Check the rows and the transform of ds on sampled messages.
+
+    The messages are four corners plus 16 seeded random ones for m <= 2
+    (so every message), else plus 8.  Each is checked along a chain: the
+    ring's :func:`~icodes.ring.dot`, the one per-coordinate dot, sums
+    v_i * d_i one coordinate at a time through the elements' own * and +,
+    and must give the word-wide :func:`encode` value at every coordinate
+    when n <= 256 and at 256 seeded picks otherwise
+    (:func:`_oracle_pairs`).  Each message's m elements are read once per
+    message and each picked pair's once per code, from
+    :meth:`DefiningSet.word_pairs`: the oracle reads no coordinate word,
+    row or step table.  That codeword must be b times the XOR of the rows
+    alpha selects, and twice that word's weight the transform's.  The rows
+    share their words with :func:`encode`, so the links that see a fault
+    in those words are the first and the last, which walk the blocks apart
+    from them.  The tests keep the full 4^m message walk, which reads no
+    row, as the reference for every code up to m = 4.
+    """
+    m, n = ds.m, len(ds)
+    weights, rows = ds.lee_weights, ds.rows
+    seed = m * 0x9E3779B1 ^ n
+    oracle = _oracle_pairs(ds, seed)
+    for v in _sample_messages(m, 16 if m <= 2 else 8, seed):
+        codeword = encode(v, ds)
+        message = v.elements()
+        _check(
+            all(dot(message, d) == codeword.element(j + 1) for j, d in oracle),
+            "per-coordinate ring arithmetic disagrees with the word-wide evaluation",
+        )
+        word = _combine(rows, v.s_word)
+        _check(
+            codeword == RingVector(n, 0, word),
+            "ring-arithmetic evaluation disagrees with the reduced form b*(alpha.t1)",
+        )
+        _check(
+            2 * word.bit_count() == weights[v.s_word],
+            "the rows disagree with the Walsh-Hadamard weight n - mu_hat(alpha)",
+        )
+
+
+def enumerate_code(ds: DefiningSet, *, work_budget: int | None = None) -> CodeTable:
     """Enumerate the code of a defining set with its Lee weight data.
 
-    The default path takes the Lee weight of every a-part alpha at once,
-    as n - mu_hat(alpha) from one Walsh-Hadamard transform of the column
+    Takes the Lee weight of every a-part alpha at once, as n -
+    mu_hat(alpha) from one Walsh-Hadamard transform of the column
     multiplicity (:attr:`DefiningSet.lee_weights`, cached on the set), and
     credits each alpha with its 2^m free b-parts; the kernel is the
     a-parts of weight 0.  The table is the generator rows, so it builds
-    its codewords only when they are read.  Before that, sampled messages
-    (all of them for m <= 2) are spot-checked along a chain: the ring's
-    :func:`~icodes.ring.dot`, the one per-coordinate dot, sums v_i * d_i
-    one coordinate at a time through the elements' own * and +, and must
-    give the word-wide :func:`encode` value at every coordinate when
-    n <= 256 and at 256 seeded picks otherwise (:func:`_oracle_pairs`).
-    Each message's m elements are read once per message and each picked
-    pair's once per code, from :meth:`DefiningSet.word_pairs`: the oracle
-    reads no coordinate word, row or step table.  That codeword must be b times
-    the XOR of the rows alpha selects, and twice that word's weight the
-    transform's.  The rows share their words with :func:`encode`, so the
-    links that see a fault in those words are the first and the last,
-    which walk the blocks apart from them.
-    collapse_beta=False forces the plain 4^m message walk with full ring
-    arithmetic everywhere and reads no row: its distinct words are the
-    table's rows, so a word set that is not a subspace fails the table's
-    rank law, and the message profile it counts must be the derived one.
-    The work, the a-parts walked (2^m, or 4^m messages for the plain
-    walk) times max(n, 1), is charged against work_budget before mu or
-    the rows are read; no other function charges it.
+    its codewords only when they are read.  Before that,
+    :func:`_spot_check` checks the rows and the weights against ring
+    arithmetic on sampled messages.  The work, the 2^m a-parts walked
+    times max(n, 1), is charged against work_budget before mu or the rows
+    are read; no other function charges it.
     """
     m, n = ds.m, len(ds)
     budget = DEFAULT_WORK_BUDGET if work_budget is None else work_budget
-    messages = 1 << (2 * m)
-    work = ((1 << m) if collapse_beta else messages) * max(n, 1)
+    work = (1 << m) * max(n, 1)
     if work > budget:
         raise BudgetExceededError(work, budget, "code enumeration")
 
-    if not collapse_beta:
-        codeword_hits: Counter[int] = Counter()
-        profile: Counter[int] = Counter()
-        for s_word in range(1 << m):
-            for t_word in range(1 << m):
-                cw = encode(RingVector(m, s_word, t_word), ds)
-                codeword_hits[cw.t_word] += 1
-                profile[cw.lee_weight()] += 1
-        per_codeword = set(codeword_hits.values())
-        _check(len(per_codeword) == 1, "codeword preimage counts must be uniform")
-        table = CodeTable(
-            Alphabet.RING,
-            n,
-            tuple(codeword_hits),
-            per_codeword.pop(),
-            dict(Counter(2 * word.bit_count() for word in codeword_hits)),
-        )
-        _check(
-            dict(profile) == table.message_profile,
-            "kernel law fails: the walked message profile is not the distribution "
-            "times the kernel size",
-        )
-    else:
-        if agreement_samples is None:
-            agreement_samples = 16 if m <= 2 else 8
-        weights = ds.lee_weights
-        rows = ds.rows
-        if agreement_samples > 0:
-            seed = m * 0x9E3779B1 ^ n
-            oracle = _oracle_pairs(ds, seed)
-            for v in _sample_messages(m, agreement_samples, seed):
-                codeword = encode(v, ds)
-                message = v.elements()
-                _check(
-                    all(dot(message, d) == codeword.element(j + 1) for j, d in oracle),
-                    "per-coordinate ring arithmetic disagrees with the word-wide evaluation",
-                )
-                word = _combine(rows, v.s_word)
-                _check(
-                    codeword == RingVector(n, 0, word),
-                    "ring-arithmetic evaluation disagrees with the reduced form b*(alpha.t1)",
-                )
-                _check(
-                    2 * word.bit_count() == weights[v.s_word],
-                    "the rows disagree with the Walsh-Hadamard weight n - mu_hat(alpha)",
-                )
-        alphas = Counter(weights)
-        per_codeword = alphas[0]  # the a-parts in the kernel
-        _check(
-            all(count % per_codeword == 0 for count in alphas.values()),
-            "codeword preimage counts must be uniform",
-        )
-        table = CodeTable(
-            Alphabet.RING,
-            n,
-            rows,
-            per_codeword << m,
-            {w: count // per_codeword for w, count in alphas.items()},
-        )
-    _check(sum(table.message_profile.values()) == messages, "message profile must sum to 4^m")
+    _spot_check(ds)
+    alphas = Counter(ds.lee_weights)
+    per_codeword = alphas[0]  # the a-parts in the kernel
+    _check(
+        all(count % per_codeword == 0 for count in alphas.values()),
+        "codeword preimage counts must be uniform",
+    )
+    table = CodeTable(
+        Alphabet.RING,
+        n,
+        ds.rows,
+        per_codeword << m,
+        {w: count // per_codeword for w, count in alphas.items()},
+    )
+    _check(
+        sum(table.message_profile.values()) == 1 << (2 * m), "message profile must sum to 4^m"
+    )
     return table
 
 

@@ -307,7 +307,7 @@ def test_criterion_7_one_weight_simplex_structure(capsys, sweep_m4, example_repo
     )
 
 
-def test_criterion_8_theta_agreement(capsys):
+def test_criterion_8_theta_agreement(capsys, no_spot_check):
     start = time.perf_counter()
     problems = []
     checked = 0
@@ -317,7 +317,7 @@ def test_criterion_8_theta_agreement(capsys):
                 continue
             for N in subsets_of(m):
                 spec = DefiningSetSpec(variant=Variant.T2, m=m, M=M, N=N)
-                table = enumerate_code(build_defining_set(spec), agreement_samples=0)
+                table = enumerate_code(build_defining_set(spec))
                 params = binary_params(gray_image(table))
                 status = griesmer_check(params.n, params.k, params.d)
                 predicted = theta_conditions(m, len(M), len(N)).predicts_optimal

@@ -298,8 +298,7 @@ def minimality_paths(ds):
     code).  The finding must equal the pairwise oracle's, verdict and
     witness, and be minimal when the weights have no triple; the same code
     as a built word list must get the same certificates."""
-    # the ring-vs-rows spot check is covered elsewhere
-    image = gray_image(enumerate_code(ds, agreement_samples=0))
+    image = gray_image(enumerate_code(ds))
     if image.min_nonzero_weight() is None:
         return None
     finding = is_minimal_exhaustive(image)
@@ -310,7 +309,7 @@ def minimality_paths(ds):
     return image, finding
 
 
-def test_ab_implies_exhaustive_minimality_on_sweep():
+def test_ab_implies_exhaustive_minimality_on_sweep(no_spot_check):
     decided = non_minimal = 0
     for variant in (Variant.T1, Variant.T2, Variant.T3, Variant.T4, Variant.T5):
         for m in range(1, 5):

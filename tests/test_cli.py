@@ -13,8 +13,9 @@ from typing import Iterator
 import pytest
 
 from icodes import cli, construction
-from icodes.analysis import ALL_ANALYSES
+from icodes.analysis import ALL_ANALYSES, analyze, verify_against_prediction
 from icodes.cli import main, parse_m_range, parse_subset, parse_variants, UsageError
+from icodes.construction import DefiningSetSpec, Variant
 from icodes.ring import ELEMENTS
 
 
@@ -101,14 +102,28 @@ def test_construct_degenerate_zero_code_still_succeeds():
     assert "degenerate" in text
 
 
-def test_construct_empty_defining_set_is_a_parameter_error(streamed_keys):
+def test_construct_empty_defining_set_is_a_parameter_error(capsys):
     argv = ["construct", "--variant", "T5", "--m", "2", "--M", "1,2", "--N", "1,2"]
-    code, _ = run(argv)
-    assert code == 2
-    code, text = run([*argv, "--format", "json"])
-    assert code == 2
-    assert json.loads(text)["degenerate"] is True
-    assert streamed_keys == [[]]
+    for fmt in ([], ["--format", "json"]):
+        err = assert_one_line_usage_error([*argv, *fmt], capsys)
+        assert err == "error: empty defining set: T1 set is all of I^m, its complement is empty\n"
+
+
+def test_every_production_path_spot_checks_each_code_once(monkeypatch):
+    checked = []
+    spot_check = construction._spot_check
+    monkeypatch.setattr(
+        construction, "_spot_check", lambda ds: checked.append(len(ds)) or spot_check(ds)
+    )
+    s = DefiningSetSpec(Variant.T2, 3, {1}, {2})
+    analyze(s)
+    verify_against_prediction(s)
+    assert run(["construct", "--variant", "T2", "--m", "3", "--M", "1", "--N", "2"])[0] == 0
+    assert checked == [12, 12, 12]
+    # verify --m 1 walks the four T1 codes, of lengths 1, 2, 2 and 4
+    checked.clear()
+    assert run(["verify", "--m", "1", "--variants", "T1"])[0] == 0
+    assert sorted(checked) == [1, 2, 2, 4]
 
 
 def test_construct_invalid_subset_is_usage_error():

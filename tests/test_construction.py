@@ -80,6 +80,37 @@ def table_driven_code(ds):
     return profile, codewords
 
 
+def plain_walk(ds):
+    """Reference: the full 4^m message walk, each message through encode.
+
+    Reads no generator row: its distinct codewords are the table's rows,
+    so a word set that is not a subspace fails the table's rank law, and
+    the message profile it counts must be the derived one (the kernel law).
+    """
+    m = ds.m
+    codeword_hits = Counter()
+    profile = Counter()
+    for s_word in range(1 << m):
+        for t_word in range(1 << m):
+            cw = encode(RingVector(m, s_word, t_word), ds)
+            codeword_hits[cw.t_word] += 1
+            profile[cw.lee_weight()] += 1
+    per_codeword = set(codeword_hits.values())
+    assert len(per_codeword) == 1, "codeword preimage counts must be uniform"
+    table = CodeTable(
+        Alphabet.RING,
+        len(ds),
+        tuple(codeword_hits),
+        per_codeword.pop(),
+        dict(Counter(2 * word.bit_count() for word in codeword_hits)),
+    )
+    assert dict(profile) == table.message_profile, (
+        "kernel law fails: the walked message profile is not the distribution "
+        "times the kernel size"
+    )
+    return table
+
+
 def spec(variant, m, M=(), N=()):
     return DefiningSetSpec(variant=variant, m=m, M=frozenset(M), N=frozenset(N))
 
@@ -588,7 +619,7 @@ def generic_parts_set(m):
     return build_defining_set(DefiningSetSpec(variant=Variant.GENERIC, m=m, d1=d1, d2=d2))
 
 
-def test_collapsed_and_plain_walks_agree():
+def test_collapsed_and_plain_walks_agree(no_spot_check):
     """The transform table against the XOR span of the rows, its own
     built codewords and the character sums, and against the plain 4^m
     walk, on every code up to m = 4."""
@@ -599,8 +630,7 @@ def test_collapsed_and_plain_walks_agree():
 
 def check_transform_table(ds):
     m, n = ds.m, len(ds)
-    # the ring-vs-rows spot check is covered elsewhere
-    table = enumerate_code(ds, agreement_samples=0)
+    table = enumerate_code(ds)
     mu_hat = list(ds.mu)
     walsh_hadamard(mu_hat)
     points = [t1 for t1, _t2 in ds.pairs]
@@ -617,7 +647,7 @@ def check_transform_table(ds):
             len(table.rows)) == facts, ds
     assert [cw.t_word for cw in table.codewords] == sorted(set(words))
     assert not any(cw.s_word for cw in table.codewords)
-    slow = enumerate_code(ds, collapse_beta=False)
+    slow = plain_walk(ds)
     assert slow == table
     assert (slow.weight_distribution, slow.message_profile, slow.kernel_size,
             len(gf2_basis(cw.t_word for cw in slow.codewords))) == facts, ds
@@ -695,7 +725,7 @@ def test_tables_build_their_codewords_when_read(monkeypatch):
 def test_table_equality_builds_no_codeword(monkeypatch):
     ds = build_defining_set(spec(Variant.T2, 3, {1}, {2}))
     fast = enumerate_code(ds)
-    slow = enumerate_code(ds, collapse_beta=False)
+    slow = plain_walk(ds)
 
     def refuse(table):
         raise AssertionError("codewords built")
@@ -705,15 +735,6 @@ def test_table_equality_builds_no_codeword(monkeypatch):
     assert slow == fast
     assert gray_image(slow) == gray_image(fast)
     assert fast != dataclasses.replace(fast, kernel_size=2 * fast.kernel_size)
-
-
-def test_plain_walk_checks_its_profile_against_the_kernel_law(monkeypatch):
-    ds = build_defining_set(spec(Variant.T2, 2, {1}, {2}))
-    # a walk that weighs each message by its t-part alone counts a profile
-    # that is not the distribution (from the distinct words) times the kernel
-    monkeypatch.setattr(RingVector, "lee_weight", lambda self: self.t_word.bit_count())
-    with pytest.raises(AssertionError, match="kernel law"):
-        enumerate_code(ds, collapse_beta=False)
 
 
 def test_tampered_generator_rows_fail_the_ring_check():
@@ -726,7 +747,7 @@ def test_tampered_generator_rows_fail_the_ring_check():
     object.__setattr__(ds, "rows", tuple(rows))
     assert encode(v, ds) == codeword  # encode reads no row
     with pytest.raises(AssertionError, match="ring-arithmetic"):
-        enumerate_code(ds, agreement_samples=64)
+        enumerate_code(ds)
 
 
 @pytest.mark.parametrize(
@@ -743,7 +764,7 @@ def test_plain_walk_reads_no_generator_row(s):
     fast = enumerate_code(build_defining_set(s))
     ds = build_defining_set(s)
     object.__setattr__(ds, "rows", None)
-    slow = enumerate_code(ds, collapse_beta=False)
+    slow = plain_walk(ds)
     assert slow == fast
     assert slow.weight_distribution == fast.weight_distribution
     assert slow.message_profile == fast.message_profile
