@@ -34,6 +34,8 @@ from .analysis import (
     verify_against_prediction,
 )
 from .construction import (
+    Alphabet,
+    CodeTable,
     DefiningSetSpec,
     Variant,
     binary_params,
@@ -264,11 +266,34 @@ def _json(value, depth: int) -> str:
     return _ENCODER.encode(value).replace("\n", "\n" + "  " * depth)
 
 
+class _Bits(str):
+    """A codeword's text over 0, 1 and b, which JSON quotes unescaped."""
+
+    __slots__ = ()
+
+
+def _codeword_texts(table: CodeTable) -> Iterator[_Bits]:
+    """Each codeword of a dump as one text, in table order.
+
+    Every ring codeword is b*c, its a-part zero, so its text is the bits of
+    c with 1 -> b; its Gray image (c, c) is the word c | c << n, whose
+    text is its 2n bits.
+    """
+    n = table.length
+    if table.alphabet is Alphabet.RING:
+        for word in table.codewords:
+            yield _Bits(bit_string(word.t_word, n).replace("1", "b"))
+    else:
+        for word in table.codewords:
+            yield _Bits(bit_string(word, n))
+
+
 def _emit(doc: dict, out) -> None:
     """Write ``doc`` to ``out`` as JSON, one top-level key at a time.
 
     An iterator value (a codeword dump) is written one element at a time
-    and never held whole.  The bytes are exactly
+    and never held whole; a :class:`_Bits` element is quoted as it is,
+    since its text needs no escape.  The bytes are exactly
     ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` with each
     iterator value replaced by the list of its elements.
     """
@@ -279,7 +304,8 @@ def _emit(doc: dict, out) -> None:
         if isinstance(value, Iterator):
             item_sep = "["
             for item in value:
-                out.write(f"{item_sep}\n    {_json(item, 2)}")
+                text = '"' + item + '"' if isinstance(item, _Bits) else _json(item, 2)
+                out.write(f"{item_sep}\n    {text}")
                 item_sep = ","
             out.write("[]" if item_sep == "[" else "\n  ]")
         else:
@@ -341,11 +367,9 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
             "degenerate": params.degenerate,
         }
         if args.dump_ring_codewords:
-            doc["ring_codewords"] = map(str, table.codewords)
+            doc["ring_codewords"] = _codeword_texts(table)
         if args.dump_gray_codewords:
-            doc["gray_codewords"] = (
-                bit_string(w, image.length) for w in image.codewords
-            )
+            doc["gray_codewords"] = _codeword_texts(image)
         _emit(doc, out)
     else:
         subsets = f"M={{{','.join(map(str, sorted(spec.M)))}}} N={{{','.join(map(str, sorted(spec.N)))}}}"
@@ -361,12 +385,12 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
             print("degenerate: zero code (k = 0, distance undefined)", file=out)
         if args.dump_ring_codewords:
             print("ring codewords:", file=out)
-            for cw in table.codewords:
-                print(str(cw), file=out)
+            for text in _codeword_texts(table):
+                out.write(text + "\n")
         if args.dump_gray_codewords:
             print("gray codewords:", file=out)
-            for w in image.codewords:
-                print(bit_string(w, image.length), file=out)
+            for text in _codeword_texts(image):
+                out.write(text + "\n")
     return EXIT_OK
 
 

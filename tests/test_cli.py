@@ -220,18 +220,53 @@ def test_dumps_correspond_word_by_word(code):
 
 
 def test_emit_streams_iterators_byte_identically():
+    marked = [cli._Bits(""), cli._Bits("0b"), cli._Bits("01")]
     doc = {
         "z": iter([{"k": [1, {"nested": "line\nbreak"}]}, "s", []]),
         "a": iter([]),
         "m": {"inner": ["x", {}], "empty": []},
+        "w": iter([marked[0], "0b", marked[1], {"k": "01"}, marked[2], 'q"\\']),
+        "v": iter(marked),
     }
-    expected = {"z": [{"k": [1, {"nested": "line\nbreak"}]}, "s", []], "a": [], "m": doc["m"]}
+    expected = {
+        "z": [{"k": [1, {"nested": "line\nbreak"}]}, "s", []],
+        "a": [],
+        "m": doc["m"],
+        "w": ["", "0b", "0b", {"k": "01"}, "01", 'q"\\'],
+        "v": ["", "0b", "01"],
+    }
     out = io.StringIO()
     cli._emit(doc, out)
     assert out.getvalue() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
     out = io.StringIO()
     cli._emit({}, out)
     assert out.getvalue() == "{}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_dumps_render_each_word_without_ring_vector_text_or_json_quoting(fmt, monkeypatch):
+    """Each dumped codeword is its word's bit text: neither the ring
+    vector's own text nor the JSON encoder renders it."""
+    argv = ["construct", "--variant", "T5", "--m", "4", "--M", "2,3,4", "--N", "1,2,4",
+            "--format", fmt, *DUMPS]
+    _, expected = run(argv)
+
+    def refuse_ring_text(vector):
+        raise AssertionError("RingVector text rendered a codeword")
+
+    json_text = cli._json
+
+    def json_without_codewords(value, depth):
+        if isinstance(value, str) and value and not value.strip("01b"):
+            raise AssertionError(f"JSON encoder given codeword {value!r}")
+        return json_text(value, depth)
+
+    monkeypatch.setattr(construction.RingVector, "__str__", refuse_ring_text)
+    monkeypatch.setattr(cli, "_json", json_without_codewords)
+    code, text = run(argv)
+    assert code == 0 and text == expected
+    for title in ("ring", "gray"):
+        assert (f"{title} codewords:" if fmt == "text" else f'"{title}_codewords"') in text
 
 
 class CountingSink:
