@@ -29,20 +29,22 @@ read off the blocks, and the rows are the s-half of the coordinate
 words.  A :class:`CodeTable` is the code's generator rows, reduced once
 on construction to the canonical reduced echelon basis, with its weight
 distribution and kernel size; its message profile is derived from those,
-and its codewords are built from the basis, in increasing order, only
-when something reads :attr:`CodeTable.codewords`.  :func:`encode` takes
-every coordinate at once, moving n-bit element masks through the ring's
-tables.  :func:`enumerate_code` always spot-checks the rows and the
-transform against ring arithmetic on sampled messages
+and its codewords are streamed from the basis one at a time, in
+increasing order, whenever something iterates :attr:`CodeTable.codewords`.
+:func:`encode` takes every coordinate at once, moving n-bit element
+masks through the ring's tables.  :func:`enumerate_code` always
+spot-checks the rows and the transform against the elements' own ring
+arithmetic on sampled messages, taking each message's 4m products once
 (:func:`_spot_check` states the chain).  Each law is checked
 with explicit raises that survive ``python -O``: the laws of the weight
 data and the rank when a table is constructed, so no table exists unless
-they hold, and the laws that read codewords whenever codewords are built.
+they hold, and the laws that read codewords as codewords are streamed.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -63,9 +65,9 @@ from .geometry import (
 from .ring import (
     ELEMENTS,
     SYMBOLS,
+    ZERO,
     RingElement,
     addition_table,
-    dot,
     multiplication_table,
 )
 
@@ -445,8 +447,8 @@ class CodeTable:
     counts codewords per weight.  The laws of a table are checked on
     construction, so no table exists unless they hold: among them, the
     words number 2^rank and weigh in all what the coordinates the rows
-    reach fix.  The laws that read codewords are checked whenever
-    :attr:`codewords` builds them.
+    reach fix.  The laws that read codewords are checked as
+    :attr:`codewords` streams them.
     """
 
     alphabet: Alphabet
@@ -505,28 +507,48 @@ class CodeTable:
         return max(self.weight_distribution)
 
     @property
-    def codewords(self) -> tuple:
-        """Every codeword, in increasing order, built from the rows on each
-        read: the x-th is the XOR of the rows that x selects.  The words
-        are checked to increase from zero (so they are distinct) and to
-        be weighed as the distribution says."""
-        words = [0]
-        for row in self.rows:
-            words += [w ^ row for w in words]
-        _check(
-            all(u < v for u, v in itertools.pairwise(words)),
-            "codewords must increase from the zero word in index order",
-        )
-        ring = self.alphabet is Alphabet.RING
-        if ring:
-            words = [RingVector(self.length, 0, w) for w in words]
-        words = tuple(words)
+    def codewords(self) -> _Codewords:
+        """Every codeword, in increasing order, streamed from the rows on
+        each pass (see :class:`_Codewords`); len() is the code size."""
+        return _Codewords(self)
+
+
+class _Codewords:
+    """The codewords of a table in increasing order, never held whole.
+
+    Each pass builds the words from the rows one at a time: the x-th is
+    the XOR of the rows that x selects, so it is the (x-1)-th XOR rows 0
+    to i, where bit i is the lowest set bit of x.  Each word is checked
+    to be above the one before as it is yielded (so the words are
+    distinct), and the weights of all of them against the distribution
+    after the last.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: CodeTable) -> None:
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __iter__(self) -> Iterator[int | RingVector]:
+        table = self._table
+        prefix = list(itertools.accumulate(table.rows, operator.xor))
+        ring = table.alphabet is Alphabet.RING
         weight = RingVector.lee_weight if ring else int.bit_count
+        weights, word = Counter(), 0
+        for x in range(1 << len(prefix)):
+            if x:
+                before, word = word, word ^ prefix[(x & -x).bit_length() - 1]
+                _check(before < word, "codewords must increase from the zero word in index order")
+            codeword = RingVector(table.length, 0, word) if ring else word
+            weights[weight(codeword)] += 1
+            yield codeword
         _check(
-            Counter(map(weight, words)) == Counter(self.weight_distribution),
+            weights == Counter(table.weight_distribution),
             "codeword weights disagree with the weight distribution",
         )
-        return words
 
 
 def _check(holds: bool, message: str) -> None:
@@ -570,12 +592,13 @@ def _sample_messages(m: int, count: int, seed: int) -> list[RingVector]:
     return [RingVector(m, s, t) for s, t in sorted(picks)]
 
 
-def _oracle_pairs(ds: DefiningSet, seed: int) -> list[tuple[int, tuple[RingElement, ...]]]:
+def _oracle_pairs(ds: DefiningSet, seed: int) -> list[tuple[int, tuple[int, ...]]]:
     """The coordinates j that the agreement check evaluates one by one,
-    each with the m elements of its pair: all of them when n <= 256, else
-    256 drawn by a seeded sample and matched to their pairs in one walk of
-    :meth:`DefiningSet.word_pairs`, which lists no pair."""
-    n = len(ds)
+    each with its pair's m elements as indices s | t << 1 into ELEMENTS:
+    every coordinate when n <= 256, else 256 drawn by a seeded sample and
+    matched to their pairs in one walk of :meth:`DefiningSet.word_pairs`,
+    which lists no pair."""
+    m, n = ds.m, len(ds)
     picks = (
         range(n)
         if n <= ORACLE_COORDINATES
@@ -584,7 +607,7 @@ def _oracle_pairs(ds: DefiningSet, seed: int) -> list[tuple[int, tuple[RingEleme
     pairs, last, out = ds.word_pairs(), -1, []
     for j in picks:
         t1, t2 = next(itertools.islice(pairs, j - last - 1, None))
-        out.append((j, RingVector(ds.m, t1, t2).elements()))
+        out.append((j, tuple(t1 >> i & 1 | (t2 >> i & 1) << 1 for i in range(m))))
         last = j
     return out
 
@@ -593,20 +616,22 @@ def _spot_check(ds: DefiningSet) -> None:
     """Check the rows and the transform of ds on sampled messages.
 
     The messages are four corners plus 16 seeded random ones for m <= 2
-    (so every message), else plus 8.  Each is checked along a chain: the
-    ring's :func:`~icodes.ring.dot`, the one per-coordinate dot, sums
-    v_i * d_i one coordinate at a time through the elements' own * and +,
-    and must give the word-wide :func:`encode` value at every coordinate
-    when n <= 256 and at 256 seeded picks otherwise
-    (:func:`_oracle_pairs`).  Each message's m elements are read once per
-    message and each picked pair's once per code, from
+    (so every message), else plus 8.  Each is checked along a chain.  The
+    oracle takes the message's 4m products v_i * y (y in ELEMENTS) once,
+    through the elements' own *, and sums each picked coordinate's m
+    products v_i * d_i through their own +: every coordinate when n <= 256
+    and 256 seeded picks otherwise (:func:`_oracle_pairs`).  Each sum must
+    be the element at that coordinate of the word-wide :func:`encode`
+    value, read from its two words.  The message's elements are read once
+    per message and each picked pair's once per code, from
     :meth:`DefiningSet.word_pairs`: the oracle reads no coordinate word,
     row or step table.  That codeword must be b times the XOR of the rows
     alpha selects, and twice that word's weight the transform's.  The rows
     share their words with :func:`encode`, so the links that see a fault
     in those words are the first and the last, which walk the blocks apart
-    from them.  The tests keep the full 4^m message walk, which reads no
-    row, as the reference for every code up to m = 4.
+    from them.  The tests keep the ring's :func:`~icodes.ring.dot` as the
+    per-coordinate reference, and the full 4^m message walk, which reads
+    no row, as the reference for every code up to m = 4.
     """
     m, n = ds.m, len(ds)
     weights, rows = ds.lee_weights, ds.rows
@@ -614,9 +639,14 @@ def _spot_check(ds: DefiningSet) -> None:
     oracle = _oracle_pairs(ds, seed)
     for v in _sample_messages(m, 16 if m <= 2 else 8, seed):
         codeword = encode(v, ds)
-        message = v.elements()
+        products = [[x * y for y in ELEMENTS] for x in v.elements()]
+        s, t = codeword.s_word, codeword.t_word
         _check(
-            all(dot(message, d) == codeword.element(j + 1) for j, d in oracle),
+            all(
+                sum(map(operator.getitem, products, d), ZERO)
+                == ELEMENTS[s >> j & 1 | (t >> j & 1) << 1]
+                for j, d in oracle
+            ),
             "per-coordinate ring arithmetic disagrees with the word-wide evaluation",
         )
         word = _combine(rows, v.s_word)
@@ -637,12 +667,14 @@ def enumerate_code(ds: DefiningSet, *, work_budget: int | None = None) -> CodeTa
     mu_hat(alpha) from one Walsh-Hadamard transform of the column
     multiplicity (:attr:`DefiningSet.lee_weights`, cached on the set), and
     credits each alpha with its 2^m free b-parts; the kernel is the
-    a-parts of weight 0.  The table is the generator rows, so it builds
+    a-parts of weight 0.  The table is the generator rows, so it streams
     its codewords only when they are read.  Before that,
-    :func:`_spot_check` checks the rows and the weights against ring
-    arithmetic on sampled messages.  The work, the 2^m a-parts walked
-    times max(n, 1), is charged against work_budget before mu or the rows
-    are read; no other function charges it.
+    :func:`_spot_check` checks the rows and the weights against the
+    elements' own ring arithmetic on sampled messages, each message's 4m
+    products taken once and each checked coordinate summed through +.
+    The work, the 2^m a-parts walked times max(n, 1), is charged against
+    work_budget before mu or the rows are read; no other function
+    charges it.
     """
     m, n = ds.m, len(ds)
     budget = DEFAULT_WORK_BUDGET if work_budget is None else work_budget

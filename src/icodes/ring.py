@@ -78,5 +78,7 @@ def multiplication_table() -> list[list[RingElement]]:
 
 def dot(xs: Iterable[RingElement], ys: Iterable[RingElement]) -> RingElement:
     """Inner product: the sum of the products x_i * y_i, one coordinate at
-    a time through the elements' own multiplication and addition."""
+    a time through the elements' own multiplication and addition.  The
+    tests' per-coordinate reference for the word-wide encoder and the
+    enumerator's spot check."""
     return sum(map(operator.mul, xs, ys), ZERO)

@@ -175,7 +175,7 @@ def test_self_orthogonal_reference_example():
 def test_self_orthogonal_basis_path_matches_direct():
     def all_pairs_even(table):
         # oracle: every pair of codewords, each word with itself included
-        words = table.codewords
+        words = tuple(table.codewords)
         return all(not (u & v).bit_count() & 1 for u in words for v in words)
 
     tables = [
@@ -305,7 +305,7 @@ def minimality_paths(ds):
     assert (finding.minimal, finding.witness) == pairwise_minimality(image)
     assert finding.minimal or has_weight_triple(ds.lee_weights)
     # the image keeps its rows; the same code as a built word list
-    assert_same_certificates(image, binary_table(image.length, image.codewords))
+    assert_same_certificates(image, binary_table(image.length, tuple(image.codewords)))
     return image, finding
 
 

@@ -563,6 +563,30 @@ def test_patched_ring_arithmetic_fails_the_oracle(monkeypatch, name, wrong):
         enumerate_code(ds)
 
 
+@pytest.mark.parametrize(
+    "s, picks",
+    [
+        (spec(Variant.T2, 3, {1}, {2}), 12),  # n = 12: every coordinate
+        (spec(Variant.T2, 9, {1, 2, 3, 4, 5, 6, 7, 8}, {1}), 256),  # n = 512: seeded picks
+    ],
+    ids=["every-coordinate", "sampled-coordinates"],
+)
+def test_oracle_multiplies_each_message_once(monkeypatch, s, picks):
+    # 4 corners + 8 seeded messages; each takes its 4m products v_i * y once,
+    # and each picked coordinate sums its m products through the ring's +
+    ds = build_defining_set(s)
+    messages, m = 12, ds.m
+    calls = Counter()
+    for name in ("__mul__", "__add__"):
+        def counted(x, y, original=getattr(RingElement, name), name=name):
+            calls[name] += 1
+            return original(x, y)
+
+        monkeypatch.setattr(RingElement, name, counted)
+    enumerate_code(ds)
+    assert calls == {"__mul__": messages * 4 * m, "__add__": messages * picks * m}
+
+
 # --- enumeration ---------------------------------------------------------------
 
 
@@ -712,12 +736,23 @@ def test_tables_build_their_codewords_when_read(monkeypatch):
     # the image of row r is r | r << n, and the image keeps the table order
     n = len(ds)
     assert image.rows == tuple(r | r << n for r in table.rows)
-    assert image.codewords == tuple(cw.t_word | cw.t_word << n for cw in table.codewords)
-    # built words meet the weight law of the distribution, here one with
-    # the true size and total weight, {0: 1, 24: 12, 32: 3}, but not the shape
+    assert tuple(image.codewords) == tuple(cw.t_word | cw.t_word << n for cw in table.codewords)
+    # streamed words meet the weight law of the distribution, here one with
+    # the true size and total weight, {0: 1, 24: 12, 32: 3}, but not the
+    # shape: every word is yielded, and the law is checked after the last
     broken = dataclasses.replace(image, weight_distribution={0: 1, 16: 3, 28: 12})
+    words = iter(broken.codewords)
+    assert len(list(itertools.islice(words, 16))) == 16
     with pytest.raises(AssertionError, match="codeword weights disagree"):
-        broken.codewords
+        next(words)
+    # and each word must rise above the one before as it is yielded: with
+    # the basis reversed, the third word falls back below the second
+    unordered = dataclasses.replace(image)
+    object.__setattr__(unordered, "rows", image.rows[::-1])
+    words = iter(unordered.codewords)
+    assert len(list(itertools.islice(words, 2))) == 2
+    with pytest.raises(AssertionError, match="must increase"):
+        next(words)
     # each row's image is checked against its Lee weight
     monkeypatch.setattr(RingVector, "gray_bits", lambda self: self.t_word)
     with pytest.raises(RuntimeError, match="Gray image weight"):
@@ -832,10 +867,11 @@ def test_kernel_law_and_totals():
 
 def test_code_is_a_module_over_the_ring():
     table = enumerate_code(build_defining_set(spec(Variant.T2, 3, {1}, {2})))
-    codewords = set(table.codewords)
-    elements = {u.elements() for u in table.codewords}
-    for u in table.codewords:
-        for v in table.codewords:
+    words = tuple(table.codewords)
+    codewords = set(words)
+    elements = {u.elements() for u in words}
+    for u in words:
+        for v in words:
             assert u + v in codewords
         for r in ELEMENTS:
             assert tuple(r * x for x in u.elements()) in elements
