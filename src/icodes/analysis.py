@@ -8,10 +8,12 @@ divisible-by-4 sufficient condition, Griesmer sums with an optimality
 verdict, the closed-form optimality predictor for T2 parameters, and the
 replicated-simplex structure check for 1-weight codes), and ``analyze``,
 the one per-code entry point that builds, enumerates, certifies and compares
-each closed-form fact once.  The certificates read no codeword list:
-they work on the image's :attr:`~icodes.construction.CodeTable.rows`,
-the canonical reduced echelon basis every table is reduced to once, on
-construction (for an enumerated code, from its m generator rows).
+each closed-form fact once.  ``analyze`` reads every Lee fact off one
+table, the Gray image (c, c) of the enumerated binary code c, and runs
+the certificates on it.  They read no codeword list: they work on the
+image's :attr:`~icodes.construction.CodeTable.rows`, the canonical
+reduced echelon basis every table is reduced to once, on construction
+(for an enumerated code, from its m generator rows).
 Minimality comes first from the weight function W(alpha) = n -
 mu_hat(alpha) that the defining set holds: a code whose weights have no
 triple a + b = c (:func:`has_weight_triple`) is minimal without touching
@@ -40,7 +42,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .construction import (
-    Alphabet,
     CodeParams,
     CodeTable,
     DefiningSetSpec,
@@ -234,7 +235,6 @@ def is_self_orthogonal(table: CodeTable) -> OrthogonalityFinding:
     included; by bilinearity of the inner product that decides all pairs
     of codewords exactly.
     """
-    _require_binary(table)
     rows = table.rows
     for i, u in enumerate(rows):
         for v in rows[i:]:
@@ -246,7 +246,6 @@ def is_self_orthogonal(table: CodeTable) -> OrthogonalityFinding:
 def weights_divisible_by_4(table: CodeTable) -> bool:
     """True iff every nonzero weight is a multiple of 4 (forces
     self-orthogonality)."""
-    _require_binary(table)
     return all(w % 4 == 0 for w in table.weight_distribution if w)
 
 
@@ -299,7 +298,6 @@ def is_minimal_exhaustive(table: CodeTable) -> MinimalityFinding:
     covering it, in increasing order (the table order), and only those
     two words are built.
     """
-    _require_binary(table)
     rows = table.rows
     k = len(rows)
     points = sorted(_column_counts(rows, table.length))
@@ -364,7 +362,6 @@ class AbFinding:
 def ab_condition(table: CodeTable) -> AbFinding:
     """Minimum/maximum nonzero weight ratio test: a ratio above 1/2
     suffices for minimality over F_2 (sufficient, not necessary)."""
-    _require_binary(table)
     low = table.min_nonzero_weight()
     if low is None:
         raise ValueError("the zero code has no nonzero weights")
@@ -470,7 +467,6 @@ def simplex_structure(table: CodeTable) -> SimplexFinding:
     copies of every nonzero vector of F_2^k, with the common weight equal
     to r * 2^(k-1).
     """
-    _require_binary(table)
     nonzero_weights = [w for w in table.weight_distribution if w]
     if len(nonzero_weights) != 1:
         raise ValueError("not a 1-weight code")
@@ -488,11 +484,6 @@ def simplex_structure(table: CodeTable) -> SimplexFinding:
     if not ok:
         return SimplexFinding("structure-check-failed", None, zero_columns)
     return SimplexFinding("replicated-simplex", replication, zero_columns)
-
-
-def _require_binary(table: CodeTable) -> None:
-    if table.alphabet is not Alphabet.BINARY:
-        raise ValueError("expected a binary-alphabet code table")
 
 
 # ---------------------------------------------------------------------------
@@ -624,27 +615,27 @@ def analyze(
             prediction_diffs=tuple(diffs),
         )
 
-    table = enumerate_code(ds, work_budget=work_budget)
+    # the Gray image (c, c) carries every Lee fact: its weights are the Lee weights
+    image = gray_image(enumerate_code(ds, work_budget=work_budget))
     fields: dict = dict(
         length=len(ds),
-        code_size=len(table),
-        kernel_size=table.kernel_size,
-        lee_weight_distribution=dict(table.weight_distribution),
-        message_profile=dict(table.message_profile),
-        lee_enumerator=weight_enumerator(table),
-        num_weights=table.num_weights,
+        code_size=len(image),
+        kernel_size=image.kernel_size,
+        lee_weight_distribution=dict(image.weight_distribution),
+        message_profile=dict(image.message_profile),
+        lee_enumerator=weight_enumerator(image),
+        num_weights=image.num_weights,
     )
     prediction_match, diffs = _expectation_diffs(pred, fields, requested)
     # The certificates are gated only against a nonempty prediction.
     claims = None if pred is None or pred.empty else pred
 
-    zero_code = table.num_weights == 0
+    zero_code = image.num_weights == 0
     if zero_code:
         fields["degenerate"] = True
         fields["degenerate_reason"] = "zero code (k = 0, distance undefined)"
 
     if "gray" in requested:
-        image = gray_image(table)
         params = binary_params(image)
         fields["params"] = params
         if claims:
@@ -719,7 +710,7 @@ def analyze(
                 )
 
     if not zero_code and "simplex" in requested:
-        if table.num_weights == 1:
+        if image.num_weights == 1:
             finding = simplex_structure(image)
             fields["simplex"] = finding
             if finding.kind != "replicated-simplex":

@@ -34,7 +34,6 @@ from .analysis import (
     verify_against_prediction,
 )
 from .construction import (
-    Alphabet,
     CodeTable,
     DefiningSetSpec,
     Variant,
@@ -272,20 +271,18 @@ class _Bits(str):
     __slots__ = ()
 
 
-def _codeword_texts(table: CodeTable) -> Iterator[_Bits]:
-    """Each codeword of a dump as one text, in table order.
+def _codeword_texts(table: CodeTable, gray: bool) -> Iterator[_Bits]:
+    """Each codeword of a dump as one text, in table order, from the words
+    c of the binary table.
 
     Every ring codeword is b*c, its a-part zero, so its text is the bits of
     c with 1 -> b; its Gray image (c, c) is the word c | c << n, whose
-    text is its 2n bits.
+    text is the bits of c written twice.
     """
     n = table.length
-    if table.alphabet is Alphabet.RING:
-        for word in table.codewords:
-            yield _Bits(bit_string(word.t_word, n).replace("1", "b"))
-    else:
-        for word in table.codewords:
-            yield _Bits(bit_string(word, n))
+    for c in table.codewords:
+        bits = bit_string(c, n)
+        yield _Bits(bits * 2 if gray else bits.replace("1", "b"))
 
 
 def _emit(doc: dict, out) -> None:
@@ -345,6 +342,7 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
         ds = build_defining_set(spec)
     except EmptyDefiningSetError as exc:
         raise UsageError(f"empty defining set: {exc}") from None
+    # the binary code c renders both dumps; its Gray image (c, c) carries every Lee fact
     table = enumerate_code(ds, work_budget=budget)
     image = gray_image(table)
     params = binary_params(image)
@@ -358,38 +356,35 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
             "M": sorted(spec.M),
             "N": sorted(spec.N),
             "length": len(ds),
-            "code_size": len(table),
-            "kernel_size": table.kernel_size,
-            "lee_weight_distribution": _str_keys(table.weight_distribution),
-            "message_profile": _str_keys(table.message_profile),
-            "lee_enumerator": weight_enumerator(table),
+            "code_size": len(image),
+            "kernel_size": image.kernel_size,
+            "lee_weight_distribution": _str_keys(image.weight_distribution),
+            "message_profile": _str_keys(image.message_profile),
+            "lee_enumerator": weight_enumerator(image),
             "gray_params": params.as_list(),
             "degenerate": params.degenerate,
         }
         if args.dump_ring_codewords:
-            doc["ring_codewords"] = _codeword_texts(table)
+            doc["ring_codewords"] = _codeword_texts(table, gray=False)
         if args.dump_gray_codewords:
-            doc["gray_codewords"] = _codeword_texts(image)
+            doc["gray_codewords"] = _codeword_texts(table, gray=True)
         _emit(doc, out)
     else:
         subsets = f"M={{{','.join(map(str, sorted(spec.M)))}}} N={{{','.join(map(str, sorted(spec.N)))}}}"
         print(f"variant {spec.variant.value}  m={spec.m}  {subsets}", file=out)
         print(f"defining set length: {len(ds)}", file=out)
-        print(
-            f"code size: {len(table)}  kernel size: {table.kernel_size}",
-            file=out,
-        )
-        print(f"lee enumerator: {weight_enumerator(table)}", file=out)
+        print(f"code size: {len(image)}  kernel size: {image.kernel_size}", file=out)
+        print(f"lee enumerator: {weight_enumerator(image)}", file=out)
         print(f"gray image: {params}", file=out)
         if params.degenerate:
             print("degenerate: zero code (k = 0, distance undefined)", file=out)
         if args.dump_ring_codewords:
             print("ring codewords:", file=out)
-            for text in _codeword_texts(table):
+            for text in _codeword_texts(table, gray=False):
                 out.write(text + "\n")
         if args.dump_gray_codewords:
             print("gray codewords:", file=out)
-            for text in _codeword_texts(image):
+            for text in _codeword_texts(table, gray=True):
                 out.write(text + "\n")
     return EXIT_OK
 

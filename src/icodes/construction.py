@@ -26,11 +26,11 @@ alpha's codeword is the character sum n - mu_hat(alpha):
 Walsh-Hadamard transform of mu, which :func:`enumerate_code` and the
 minimality certificate share.  Both mu and the coordinate words are
 read off the blocks, and the rows are the s-half of the coordinate
-words.  A :class:`CodeTable` is the code's generator rows, reduced once
-on construction to the canonical reduced echelon basis, with its weight
-distribution and kernel size; its message profile is derived from those,
-and its codewords are streamed from the basis one at a time, in
-increasing order, whenever something iterates :attr:`CodeTable.codewords`.
+words.  A :class:`CodeTable` is a binary linear code: its generator rows,
+reduced once to the canonical reduced echelon basis, with its weight
+distribution and kernel size; its codewords stream from the basis as
+ints in increasing order.  :func:`enumerate_code` returns the table of
+c, and :func:`gray_image` that of (c, c), which every Lee fact is read off.
 :func:`encode` takes every coordinate at once, moving n-bit element
 masks through the ring's tables.  :func:`enumerate_code` always
 spot-checks the rows and the transform against the elements' own ring
@@ -111,17 +111,13 @@ class Variant(str, Enum):
     GENERIC = "GENERIC"  # caller-supplied D1, D2
 
 
-class Alphabet(str, Enum):
-    RING = "ring-I"
-    BINARY = "binary"
-
-
 @dataclass(frozen=True, slots=True)
 class RingVector:
     """A vector a*alpha + b*beta in I^m, stored as two bit words.
 
-    Also used for codewords, whose length may exceed the ambient-dimension
-    cap of :class:`BitVector`; the words are plain ints for that reason.
+    Also used for the ring codewords :func:`encode` evaluates, whose length
+    may exceed the ambient-dimension cap of :class:`BitVector`; the words
+    are plain ints for that reason.
     """
 
     m: int
@@ -436,22 +432,20 @@ def encode(v: RingVector, ds: DefiningSet) -> RingVector:
 
 @dataclass(frozen=True)
 class CodeTable:
-    """An enumerated code: its generator rows with its weight bookkeeping.
+    """A binary linear code: its generator rows with its weight bookkeeping.
 
-    rows generate the code over GF(2) (for a ring table, the t-parts of
-    the codewords, whose a-parts are all zero) and may be dependent;
-    construction replaces them by the canonical basis of their span
+    rows generate the code over GF(2) and may be dependent; construction
+    replaces them by the canonical basis of their span
     (:func:`_reduced_echelon`), so tables of one code compare equal
     whatever rows they were given, and the x-th codeword in increasing
     order is the XOR of the rows that x selects.  weight_distribution
-    counts codewords per weight.  The laws of a table are checked on
-    construction, so no table exists unless they hold: among them, the
+    counts codewords per Hamming weight.  The laws of a table are checked
+    on construction, so no table exists unless they hold: among them, the
     words number 2^rank and weigh in all what the coordinates the rows
     reach fix.  The laws that read codewords are checked as
     :attr:`codewords` streams them.
     """
 
-    alphabet: Alphabet
     length: int
     rows: tuple[int, ...]
     kernel_size: int
@@ -462,19 +456,15 @@ class CodeTable:
         object.__setattr__(self, "rows", rows)
         wd = self.weight_distribution
         _check(wd.get(0) == 1, "zero codeword must be the unique weight-0 word")
-        cap = 2 * self.length if self.alphabet is Alphabet.RING else self.length
-        _check(all(0 <= w <= cap for w in wd), "weight outside the possible range")
+        _check(all(0 <= w <= self.length for w in wd), "weight outside the possible range")
         _check(not rows or rows[-1].bit_length() <= self.length, "row wider than the length")
         _check(1 << len(rows) == len(self), "code size must be 2^rank of the rows")
-        # each coordinate some row reaches is 1 in half the codewords, and a
-        # ring word's Lee weight is twice that of its t-part
+        # each coordinate some row reaches is 1 in half the codewords
         support = 0
         for row in rows:
             support |= row
-        per_bit = 2 if self.alphabet is Alphabet.RING else 1
         _check(
-            2 * sum(w * count for w, count in wd.items())
-            == per_bit * support.bit_count() << len(rows),
+            2 * sum(w * count for w, count in wd.items()) == support.bit_count() << len(rows),
             "weights must total half the code size per reached coordinate",
         )
 
@@ -483,7 +473,7 @@ class CodeTable:
 
     def __repr__(self) -> str:
         return (
-            f"CodeTable(alphabet={self.alphabet}, length={self.length}, size={len(self)}, "
+            f"CodeTable(length={self.length}, size={len(self)}, "
             f"kernel_size={self.kernel_size}, weight_distribution={self.weight_distribution})"
         )
 
@@ -514,7 +504,7 @@ class CodeTable:
 
 
 class _Codewords:
-    """The codewords of a table in increasing order, never held whole.
+    """The codewords of a table as ints in increasing order, never held whole.
 
     Each pass builds the words from the rows one at a time: the x-th is
     the XOR of the rows that x selects, so it is the (x-1)-th XOR rows 0
@@ -532,19 +522,16 @@ class _Codewords:
     def __len__(self) -> int:
         return len(self._table)
 
-    def __iter__(self) -> Iterator[int | RingVector]:
+    def __iter__(self) -> Iterator[int]:
         table = self._table
         prefix = list(itertools.accumulate(table.rows, operator.xor))
-        ring = table.alphabet is Alphabet.RING
-        weight = RingVector.lee_weight if ring else int.bit_count
         weights, word = Counter(), 0
         for x in range(1 << len(prefix)):
             if x:
                 before, word = word, word ^ prefix[(x & -x).bit_length() - 1]
                 _check(before < word, "codewords must increase from the zero word in index order")
-            codeword = RingVector(table.length, 0, word) if ring else word
-            weights[weight(codeword)] += 1
-            yield codeword
+            weights[word.bit_count()] += 1
+            yield word
         _check(
             weights == Counter(table.weight_distribution),
             "codeword weights disagree with the weight distribution",
@@ -661,15 +648,18 @@ def _spot_check(ds: DefiningSet) -> None:
 
 
 def enumerate_code(ds: DefiningSet, *, work_budget: int | None = None) -> CodeTable:
-    """Enumerate the code of a defining set with its Lee weight data.
+    """Enumerate the code of a defining set as the binary code c.
 
-    Takes the Lee weight of every a-part alpha at once, as n -
-    mu_hat(alpha) from one Walsh-Hadamard transform of the column
-    multiplicity (:attr:`DefiningSet.lee_weights`, cached on the set), and
-    credits each alpha with its 2^m free b-parts; the kernel is the
-    a-parts of weight 0.  The table is the generator rows, so it streams
-    its codewords only when they are read.  Before that,
-    :func:`_spot_check` checks the rows and the weights against the
+    Every codeword is b*c for c in the row space of :attr:`DefiningSet.rows`,
+    so the table is that code, of length n, with Hamming weights; its Lee
+    view is the Gray image (c, c) (:func:`gray_image`).  The Lee weight of
+    every a-part alpha comes at once, as n - mu_hat(alpha) from one
+    Walsh-Hadamard transform of the column multiplicity
+    (:attr:`DefiningSet.lee_weights`, cached on the set); each distinct
+    weight is checked to be even and halved, and each alpha is credited
+    with its 2^m free b-parts; the kernel is the a-parts of weight 0.
+    The table streams its codewords only when they are read.  Before
+    that, :func:`_spot_check` checks the rows and the weights against the
     elements' own ring arithmetic on sampled messages, each message's 4m
     products taken once and each checked coordinate summed through +.
     The work, the 2^m a-parts walked times max(n, 1), is charged against
@@ -684,17 +674,14 @@ def enumerate_code(ds: DefiningSet, *, work_budget: int | None = None) -> CodeTa
 
     _spot_check(ds)
     alphas = Counter(ds.lee_weights)
+    _check(all(w % 2 == 0 for w in alphas), "every Lee weight must be even: each codeword is b*c")
     per_codeword = alphas[0]  # the a-parts in the kernel
     _check(
         all(count % per_codeword == 0 for count in alphas.values()),
         "codeword preimage counts must be uniform",
     )
     table = CodeTable(
-        Alphabet.RING,
-        n,
-        ds.rows,
-        per_codeword << m,
-        {w: count // per_codeword for w, count in alphas.items()},
+        n, ds.rows, per_codeword << m, {w // 2: count // per_codeword for w, count in alphas.items()}
     )
     _check(
         sum(table.message_profile.values()) == 1 << (2 * m), "message profile must sum to 4^m"
@@ -703,28 +690,21 @@ def enumerate_code(ds: DefiningSet, *, work_budget: int | None = None) -> CodeTa
 
 
 def gray_image(table: CodeTable) -> CodeTable:
-    """Binary image of a ring code under the componentwise Gray map.
+    """The Gray image (c, c) of the ring code b*C, C the table's code.
 
-    Each length-n ring word maps to 2n bits in block layout (t-part, then
-    (s+t)-part).  The map is an isometry, so the image keeps the
-    distribution; every codeword here has a zero a-part, on which the map
-    is linear, so the images r | r << n of the rows generate the image,
-    in the same index order.  Each row's image is checked against its Lee
-    weight (a failure signals a bug and aborts); the image's codewords
-    meet the weight law whenever they are built.
+    The Gray map sends b to 11, so b*c maps to the 2n-bit word c | c << n
+    (t-part low, (s+t)-part high).  The map is an isometry, linear on
+    these words, so the image is the table of the rows r | r << n, in the
+    same order and with the same kernel, weighing each of c's weights
+    doubled: every Lee fact is read off it.  Its weight law, checked on
+    construction, refuses weights that were not doubled.
     """
-    if table.alphabet is not Alphabet.RING:
-        raise ValueError("gray_image expects a ring-alphabet code")
     n = table.length
-    rows = []
-    for row in table.rows:
-        word = RingVector(n, 0, row)
-        bits = word.gray_bits()
-        if bits.bit_count() != word.lee_weight():
-            raise RuntimeError("Gray image weight differs from Lee weight")
-        rows.append(bits)
     return CodeTable(
-        Alphabet.BINARY, 2 * n, tuple(rows), table.kernel_size, dict(table.weight_distribution)
+        2 * n,
+        tuple(row | row << n for row in table.rows),
+        table.kernel_size,
+        {2 * w: count for w, count in table.weight_distribution.items()},
     )
 
 
@@ -749,26 +729,23 @@ class CodeParams:
 
 
 def binary_params(table: CodeTable) -> CodeParams:
-    """[n, k, d] of a binary table, k its rank."""
-    if table.alphabet is not Alphabet.BINARY:
-        raise ValueError("binary_params expects a binary-alphabet code")
+    """[n, k, d] of a table, k its rank; of the Gray image, the image's."""
     return CodeParams(table.length, len(table.rows), table.min_nonzero_weight())
 
 
 def weight_enumerator(table: CodeTable) -> str:
     """Homogeneous two-variable weight enumerator as text.
 
-    Terms appear in increasing codeword weight; the X-exponent base is
-    twice the length for ring codes (Lee weights run up to 2n) and the
-    length itself for binary codes.
+    Terms appear in increasing codeword weight, with X to the length
+    minus the weight.  The Lee enumerator of the ring code is that of its
+    Gray image, whose length is 2n, the most a Lee weight can be.
     """
-    top = 2 * table.length if table.alphabet is Alphabet.RING else table.length
     parts = []
     for w in sorted(table.weight_distribution):
         count = table.weight_distribution[w]
         term = "" if count == 1 else str(count)
-        if top - w > 0:
-            term += f"X^{top - w}"
+        if table.length - w > 0:
+            term += f"X^{table.length - w}"
         if w > 0:
             term += f"Y^{w}"
         parts.append(term or "1")

@@ -15,7 +15,6 @@ from icodes.geometry import bit_string, gf2_basis
 from icodes.analysis import ALL_ANALYSES, has_weight_triple
 from icodes.cli import main
 from icodes import (
-    Alphabet,
     CodeTable,
     DefiningSetSpec,
     EmptyDefiningSetError,
@@ -48,9 +47,7 @@ def binary_table(n: int, words) -> CodeTable:
     distribution counted from the words."""
     from collections import Counter
 
-    return CodeTable(
-        Alphabet.BINARY, n, tuple(words), 1, dict(Counter(w.bit_count() for w in words))
-    )
+    return CodeTable(n, tuple(words), 1, dict(Counter(w.bit_count() for w in words)))
 
 
 def span(generators, n):
@@ -64,7 +61,7 @@ def span(generators, n):
 def rows_table(generators, n) -> CodeTable:
     """The span of the generators as a table that keeps only its rows."""
     words = span(generators, n)
-    return CodeTable(Alphabet.BINARY, n, tuple(generators), 1, words.weight_distribution)
+    return CodeTable(n, tuple(generators), 1, words.weight_distribution)
 
 
 def assert_same_certificates(table, other):

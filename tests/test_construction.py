@@ -19,7 +19,6 @@ import pytest
 
 from icodes import construction
 from icodes import (
-    Alphabet,
     BitVector,
     BudgetExceededError,
     CodeTable,
@@ -39,7 +38,7 @@ from icodes import (
     weight_enumerator,
 )
 from icodes.analysis import is_minimal_exhaustive, is_self_orthogonal
-from icodes.geometry import all_vectors, character_sum, gf2_basis, walsh_hadamard
+from icodes.geometry import all_vectors, bit_string, character_sum, gf2_basis, walsh_hadamard
 from icodes.ring import dot
 
 # Independent mini-ring: symbol tables only, no bit tricks.
@@ -83,32 +82,42 @@ def table_driven_code(ds):
 def plain_walk(ds):
     """Reference: the full 4^m message walk, each message through encode.
 
-    Reads no generator row: its distinct codewords are the table's rows,
-    so a word set that is not a subspace fails the table's rank law, and
-    the message profile it counts must be the derived one (the kernel law).
+    Reads no generator row.  Every codeword must be b*c, its a-part zero;
+    the distinct words c are the rows of the table of c it returns, so a
+    word set that is not a subspace fails the table's rank law, and the
+    profile of c's weights it counts must be the derived one (the kernel
+    law).  Also returns the Lee profile, each message's codeword weighed
+    by RingVector.lee_weight.
     """
     m = ds.m
     codeword_hits = Counter()
     profile = Counter()
+    lee_profile = Counter()
     for s_word in range(1 << m):
         for t_word in range(1 << m):
             cw = encode(RingVector(m, s_word, t_word), ds)
+            assert cw.s_word == 0, "every codeword must be b times a binary word"
             codeword_hits[cw.t_word] += 1
-            profile[cw.lee_weight()] += 1
+            profile[cw.t_word.bit_count()] += 1
+            lee_profile[cw.lee_weight()] += 1
     per_codeword = set(codeword_hits.values())
     assert len(per_codeword) == 1, "codeword preimage counts must be uniform"
     table = CodeTable(
-        Alphabet.RING,
         len(ds),
         tuple(codeword_hits),
         per_codeword.pop(),
-        dict(Counter(2 * word.bit_count() for word in codeword_hits)),
+        dict(Counter(word.bit_count() for word in codeword_hits)),
     )
     assert dict(profile) == table.message_profile, (
         "kernel law fails: the walked message profile is not the distribution "
         "times the kernel size"
     )
-    return table
+    return table, dict(lee_profile)
+
+
+def ring_texts(table):
+    """The ring codewords b*c of a table of c, as 0abc text."""
+    return {bit_string(c, table.length).replace("1", "b") for c in table.codewords}
 
 
 def spec(variant, m, M=(), N=()):
@@ -540,6 +549,57 @@ def test_coordinate_word_oracle_survives_optimized_mode():
     )
 
 
+def unsampled_a_part(ds):
+    """An a-part whose Lee weight the spot check does not read."""
+    read = set()
+
+    class Logged(tuple):
+        def __getitem__(self, x):
+            read.add(x)
+            return tuple.__getitem__(self, x)
+
+    weights = ds.lee_weights
+    object.__setattr__(ds, "lee_weights", Logged(weights))
+    enumerate_code(ds)
+    object.__setattr__(ds, "lee_weights", weights)
+    return next(x for x in range(1 << ds.m) if x not in read)
+
+
+#: Code size 2^m, one a-part per codeword: Lee weights 48 and 64.
+ODD_WEIGHT_SPEC = spec(Variant.T2, 5, {1, 2, 3}, {4})
+
+
+def test_odd_lee_weight_fails_enumeration():
+    # 48 + 1 or 64 + 1 halves to the true weight of c, so only the parity
+    # check sees it; the spot check never reads that a-part
+    ds = build_defining_set(ODD_WEIGHT_SPEC)
+    x = unsampled_a_part(ds)
+    weights = list(ds.lee_weights)
+    weights[x] += 1
+    object.__setattr__(ds, "lee_weights", tuple(weights))
+    with pytest.raises(AssertionError, match="every Lee weight must be even"):
+        enumerate_code(ds)
+
+
+def test_odd_lee_weight_check_survives_optimized_mode():
+    x = unsampled_a_part(build_defining_set(ODD_WEIGHT_SPEC))
+    script = (
+        "from icodes.construction import *\n"
+        "ds = build_defining_set(DefiningSetSpec(Variant.T2, 5, {1, 2, 3}, {4}))\n"
+        "weights = list(ds.lee_weights)\n"
+        f"weights[{x}] += 1\n"
+        "object.__setattr__(ds, 'lee_weights', tuple(weights))\n"
+        "enumerate_code(ds)\n"
+    )
+    src = pathlib.Path(construction.__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 1
+    assert "AssertionError: every Lee weight must be even: each codeword is b*c" in result.stderr
+
+
 @pytest.mark.parametrize(
     "name, wrong",
     [
@@ -592,10 +652,12 @@ def test_oracle_multiplies_each_message_once(monkeypatch, s, picks):
 
 def test_hand_computed_t1_m2_code():
     table = enumerate_code(build_defining_set(spec(Variant.T1, 2, {1}, {2})))
-    assert table.weight_distribution == {0: 1, 4: 1}
-    assert table.message_profile == {0: 8, 4: 8}
-    assert table.kernel_size == 8
-    assert {str(cw) for cw in table.codewords} == {"0000", "00bb"}
+    assert table.weight_distribution == {0: 1, 2: 1}
+    image = gray_image(table)
+    assert image.weight_distribution == {0: 1, 4: 1}
+    assert image.message_profile == {0: 8, 4: 8}
+    assert table.kernel_size == image.kernel_size == 8
+    assert ring_texts(table) == {"0000", "00bb"}
 
 
 @pytest.mark.parametrize("variant", [Variant.T1, Variant.T2, Variant.T3, Variant.T4, Variant.T5])
@@ -610,8 +672,8 @@ def test_enumeration_matches_symbol_table_oracle_m2(variant):
                 continue
             table = enumerate_code(ds)
             profile, codewords = table_driven_code(ds)
-            assert table.message_profile == profile
-            assert {str(cw) for cw in table.codewords} == set(codewords)
+            assert gray_image(table).message_profile == profile
+            assert ring_texts(table) == set(codewords)
             assert table.kernel_size == codewords["0" * len(ds)]
 
 
@@ -655,6 +717,7 @@ def test_collapsed_and_plain_walks_agree(no_spot_check):
 def check_transform_table(ds):
     m, n = ds.m, len(ds)
     table = enumerate_code(ds)
+    image = gray_image(table)
     mu_hat = list(ds.mu)
     walsh_hadamard(mu_hat)
     points = [t1 for t1, _t2 in ds.pairs]
@@ -664,19 +727,24 @@ def check_transform_table(ds):
     for alpha in all_vectors(m):
         assert character_sum(alpha, points) == mu_hat[alpha.bits]
         assert 2 * words[alpha.bits].bit_count() == n - mu_hat[alpha.bits]
-    distribution = Counter(2 * w.bit_count() for w in set(words))
-    profile = {w: count << m for w, count in Counter(2 * w.bit_count() for w in words).items()}
+    # the facts of c, from the XOR span of the rows
+    distribution = Counter(w.bit_count() for w in set(words))
+    profile = {w: count << m for w, count in Counter(w.bit_count() for w in words).items()}
     facts = (distribution, profile, words.count(0) << m, len(gf2_basis(words)))
     assert (table.weight_distribution, table.message_profile, table.kernel_size,
             len(table.rows)) == facts, ds
-    assert [cw.t_word for cw in table.codewords] == sorted(set(words))
-    assert not any(cw.s_word for cw in table.codewords)
+    assert list(table.codewords) == sorted(set(words))
+    # the doubled image (c, c): its words, c's weights doubled, the same kernel and rank
+    assert tuple(image.codewords) == tuple(c | c << n for c in table.codewords)
+    assert image.weight_distribution == {2 * w: count for w, count in distribution.items()}
+    assert (image.length, image.kernel_size, len(image.rows)) == (2 * n, *facts[2:])
     # the reference reads no generator row, so hide the rows from it
     object.__setattr__(ds, "rows", None)
-    slow = plain_walk(ds)
+    slow, lee_profile = plain_walk(ds)
     assert slow == table
+    assert image.message_profile == lee_profile, ds
     assert (slow.weight_distribution, slow.message_profile, slow.kernel_size,
-            len(gf2_basis(cw.t_word for cw in slow.codewords))) == facts, ds
+            len(gf2_basis(slow.codewords))) == facts, ds
 
 
 #: (weight distribution, message profile, kernel size, Gray [n, k, d],
@@ -717,17 +785,16 @@ def test_generic_facts_do_not_depend_on_the_pair_order():
             sets[f"random-{i}"] = ds
     assert sets.keys() == GENERIC_FACTS.keys()
     for name, ds in sets.items():
-        table = enumerate_code(ds)
-        image = gray_image(table)
+        image = gray_image(enumerate_code(ds))
         facts = (
-            table.weight_distribution, table.message_profile, table.kernel_size,
+            image.weight_distribution, image.message_profile, image.kernel_size,
             binary_params(image).as_list(), is_minimal_exhaustive(image).minimal,
             is_self_orthogonal(image).self_orthogonal,
         )
         assert facts == GENERIC_FACTS[name], name
 
 
-def test_tables_build_their_codewords_when_read(monkeypatch):
+def test_tables_build_their_codewords_when_read():
     ds = build_defining_set(spec(Variant.T2, 4, {1, 2}, {3}))
     table = enumerate_code(ds)
     image = gray_image(table)
@@ -736,7 +803,7 @@ def test_tables_build_their_codewords_when_read(monkeypatch):
     # the image of row r is r | r << n, and the image keeps the table order
     n = len(ds)
     assert image.rows == tuple(r | r << n for r in table.rows)
-    assert tuple(image.codewords) == tuple(cw.t_word | cw.t_word << n for cw in table.codewords)
+    assert tuple(image.codewords) == tuple(c | c << n for c in table.codewords)
     # streamed words meet the weight law of the distribution, here one with
     # the true size and total weight, {0: 1, 24: 12, 32: 3}, but not the
     # shape: every word is yielded, and the law is checked after the last
@@ -753,16 +820,15 @@ def test_tables_build_their_codewords_when_read(monkeypatch):
     assert len(list(itertools.islice(words, 2))) == 2
     with pytest.raises(AssertionError, match="must increase"):
         next(words)
-    # each row's image is checked against its Lee weight
-    monkeypatch.setattr(RingVector, "gray_bits", lambda self: self.t_word)
-    with pytest.raises(RuntimeError, match="Gray image weight"):
-        gray_image(enumerate_code(build_defining_set(spec(Variant.T2, 3, {1}, {2}))))
+    # the image's own weight law refuses weights that were not doubled
+    with pytest.raises(AssertionError, match="weights must total"):
+        CodeTable(2 * n, image.rows, table.kernel_size, table.weight_distribution)
 
 
 def test_table_equality_builds_no_codeword(monkeypatch):
     ds = build_defining_set(spec(Variant.T2, 3, {1}, {2}))
     fast = enumerate_code(ds)
-    slow = plain_walk(ds)
+    slow, _lee_profile = plain_walk(ds)
 
     def refuse(table):
         raise AssertionError("codewords built")
@@ -788,46 +854,38 @@ def test_tampered_generator_rows_fail_the_ring_check():
 
 
 @pytest.mark.parametrize(
-    "alphabet, length, rows, distribution, message",
+    "length, rows, distribution, message",
     [
+        pytest.param(3, (0, 5, 5), {0: 1, 2: 2}, "2\\^rank", id="duplicate-words"),
+        pytest.param(3, (0, 3, 5), {0: 1, 2: 2}, "2\\^rank", id="non-linear-binary-table"),
+        # the Gray images 0101 and 1010 of the ring words 0b and b0, without their sum
         pytest.param(
-            Alphabet.BINARY, 3, (0, 5, 5), {0: 1, 2: 2}, "2\\^rank", id="duplicate-words"
+            4, (0, 0b0101, 0b1010), {0: 1, 2: 2}, "2\\^rank", id="non-linear-ring-table"
         ),
+        pytest.param(3, (3, 5, 6), {2: 3}, "zero codeword", id="missing-zero"),
         pytest.param(
-            Alphabet.BINARY, 3, (0, 3, 5), {0: 1, 2: 2}, "2\\^rank", id="non-linear-binary-table"
+            3, (0b111,), {0: 1, 4: 1}, "weight outside", id="weight-above-length"
         ),
+        # the Gray image of the length-1 ring word b, given Lee weight 4 > 2n
         pytest.param(
-            Alphabet.RING, 2, (0, 1, 2), {0: 1, 2: 2}, "2\\^rank", id="non-linear-ring-table"
+            2, (0b11,), {0: 1, 4: 1}, "weight outside", id="weight-above-twice-the-length"
         ),
-        pytest.param(
-            Alphabet.BINARY, 3, (3, 5, 6), {2: 3}, "zero codeword", id="missing-zero"
-        ),
-        pytest.param(
-            Alphabet.BINARY, 3, (0b111,), {0: 1, 4: 1}, "weight outside",
-            id="weight-above-length",
-        ),
-        pytest.param(
-            Alphabet.RING, 1, (1,), {0: 1, 4: 1}, "weight outside",
-            id="weight-above-twice-the-length",
-        ),
-        pytest.param(
-            Alphabet.BINARY, 3, (0b1000,), {0: 1, 1: 1}, "wider", id="row-wider-than-length"
-        ),
+        pytest.param(3, (0b1000,), {0: 1, 1: 1}, "wider", id="row-wider-than-length"),
     ],
 )
-def test_validate_rejects_each_broken_law(alphabet, length, rows, distribution, message):
+def test_validate_rejects_each_broken_law(length, rows, distribution, message):
     # a table validates its laws when it is built; rows given as a word set
     # with its words counted make 2^rank of them only if it is a subspace,
     # so no certificate ever meets a non-linear table
     with pytest.raises(AssertionError, match=message):
-        CodeTable(alphabet, length, rows, 1, distribution)
+        CodeTable(length, rows, 1, distribution)
 
 
 def test_validate_survives_optimized_mode():
     # python -O strips assert statements; the laws must still raise.
     script = (
-        "from icodes.construction import Alphabet, CodeTable\n"
-        "CodeTable(Alphabet.BINARY, 3, (3, 5, 6), 1, {2: 3})\n"
+        "from icodes.construction import CodeTable\n"
+        "CodeTable(3, (3, 5, 6), 1, {2: 3})\n"
     )
     src = pathlib.Path(construction.__file__).parents[1]
     result = subprocess.run(
@@ -839,12 +897,13 @@ def test_validate_survives_optimized_mode():
 
 
 def test_reference_distributions():
-    table = enumerate_code(build_defining_set(spec(Variant.T1, 6, {2, 3}, {4, 5})))
-    assert table.weight_distribution == {0: 1, 16: 3}
-    table = enumerate_code(build_defining_set(spec(Variant.T2, 5, {1, 2, 3}, {4})))
-    assert table.weight_distribution == {0: 1, 48: 28, 64: 3}
-    table = enumerate_code(build_defining_set(spec(Variant.T5, 4, {2, 3, 4}, {1, 2, 4})))
-    assert table.weight_distribution == {0: 1, 192: 14, 256: 1}
+    # the Lee distributions, read off the Gray images
+    for s, distribution in [
+        (spec(Variant.T1, 6, {2, 3}, {4, 5}), {0: 1, 16: 3}),
+        (spec(Variant.T2, 5, {1, 2, 3}, {4}), {0: 1, 48: 28, 64: 3}),
+        (spec(Variant.T5, 4, {2, 3, 4}, {1, 2, 4}), {0: 1, 192: 14, 256: 1}),
+    ]:
+        assert gray_image(enumerate_code(build_defining_set(s))).weight_distribution == distribution
 
 
 def test_code_sizes_follow_the_variant():
@@ -866,13 +925,14 @@ def test_kernel_law_and_totals():
 
 
 def test_code_is_a_module_over_the_ring():
-    table = enumerate_code(build_defining_set(spec(Variant.T2, 3, {1}, {2})))
-    words = tuple(table.codewords)
-    codewords = set(words)
+    ds = build_defining_set(spec(Variant.T2, 3, {1}, {2}))
+    # the ring codewords, every message through encode, are the words b*c
+    words = {encode(RingVector(3, s, t), ds) for s in range(8) for t in range(8)}
+    assert {str(u) for u in words} == ring_texts(enumerate_code(ds))
     elements = {u.elements() for u in words}
     for u in words:
         for v in words:
-            assert u + v in codewords
+            assert u + v in words
         for r in ELEMENTS:
             assert tuple(r * x for x in u.elements()) in elements
 
@@ -938,8 +998,8 @@ def test_binary_params_rejects_non_power_of_two():
     # three words are no subspace: the table cannot be built, so binary_params
     # never sees it; the words closed under addition have parameters
     with pytest.raises(AssertionError, match="2\\^rank"):
-        CodeTable(Alphabet.BINARY, 3, (0, 0b101, 0b011), 1, {0: 1, 2: 2})
-    closed = CodeTable(Alphabet.BINARY, 3, (0, 0b101, 0b011, 0b110), 1, {0: 1, 2: 3})
+        CodeTable(3, (0, 0b101, 0b011), 1, {0: 1, 2: 2})
+    closed = CodeTable(3, (0, 0b101, 0b011, 0b110), 1, {0: 1, 2: 3})
     assert binary_params(closed).as_list() == [3, 2, 2]
 
 
@@ -947,8 +1007,10 @@ def test_binary_params_rejects_non_power_of_two():
 
 
 def test_weight_enumerator_strings():
+    # the Lee enumerators are the Gray images' enumerators
     t1 = enumerate_code(build_defining_set(spec(Variant.T1, 6, {2, 3}, {4, 5})))
-    assert weight_enumerator(t1) == "X^32 + 3X^16Y^16"
-    t5 = enumerate_code(build_defining_set(spec(Variant.T5, 4, {2, 3, 4}, {1, 2, 4})))
-    assert weight_enumerator(t5) == "X^384 + 14X^192Y^192 + X^128Y^256"
     assert weight_enumerator(gray_image(t1)) == "X^32 + 3X^16Y^16"
+    t5 = enumerate_code(build_defining_set(spec(Variant.T5, 4, {2, 3, 4}, {1, 2, 4})))
+    assert weight_enumerator(gray_image(t5)) == "X^384 + 14X^192Y^192 + X^128Y^256"
+    # c itself: length 16, three words of weight 8
+    assert weight_enumerator(t1) == "X^16 + 3X^8Y^8"
