@@ -34,15 +34,18 @@ c, and :func:`gray_image` that of (c, c), which every Lee fact is read off.
 :func:`encode` takes every coordinate at once, moving n-bit element
 masks through the ring's tables.  :func:`enumerate_code` always
 spot-checks the rows and the transform against the elements' own ring
-arithmetic on sampled messages, taking each message's 4m products once
-(:func:`_spot_check` states the chain).  Each law is checked
-with explicit raises that survive ``python -O``: the laws of the weight
-data and the rank when a table is constructed, so no table exists unless
-they hold, and the laws that read codewords as codewords are streamed.
+arithmetic on sampled messages, summing each of a large code's 256
+sampled coordinates through a per-message table of 4m products and 16m
+sums (:func:`_sum_table`; :func:`_spot_check` states the chain).  Each
+law is checked with explicit raises that survive ``python -O``: the laws
+of the weight data and the rank when a table is constructed, so no table
+exists unless they hold, and the laws that read codewords as codewords
+are streamed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -154,13 +157,6 @@ class RingVector:
 
     def elements(self) -> tuple[RingElement, ...]:
         return tuple(self.element(i) for i in range(1, self.m + 1))
-
-    def lee_weight(self) -> int:
-        return self.t_word.bit_count() + (self.s_word ^ self.t_word).bit_count()
-
-    def gray_bits(self) -> int:
-        """Gray image as a 2m-bit word: t-part low, (s+t)-part high."""
-        return self.t_word | (self.s_word ^ self.t_word) << self.m
 
     def __add__(self, other: RingVector) -> RingVector:
         if self.m != other.m:
@@ -582,21 +578,58 @@ def _sample_messages(m: int, count: int, seed: int) -> list[RingVector]:
 def _oracle_pairs(ds: DefiningSet, seed: int) -> list[tuple[int, tuple[int, ...]]]:
     """The coordinates j that the agreement check evaluates one by one,
     each with its pair's m elements as indices s | t << 1 into ELEMENTS:
-    every coordinate when n <= 256, else 256 drawn by a seeded sample and
-    matched to their pairs in one walk of :meth:`DefiningSet.word_pairs`,
-    which lists no pair."""
+    every coordinate when n <= 256, in one walk of
+    :meth:`DefiningSet.word_pairs`, else 256 drawn by a seeded sample,
+    each found by block arithmetic (:func:`_picked_pairs`)."""
     m, n = ds.m, len(ds)
-    picks = (
-        range(n)
-        if n <= ORACLE_COORDINATES
-        else sorted(random.Random(seed).sample(range(n), ORACLE_COORDINATES))
-    )
-    pairs, last, out = ds.word_pairs(), -1, []
-    for j in picks:
-        t1, t2 = next(itertools.islice(pairs, j - last - 1, None))
-        out.append((j, tuple(t1 >> i & 1 | (t2 >> i & 1) << 1 for i in range(m))))
-        last = j
+    if n <= ORACLE_COORDINATES:
+        pairs: Iterable[tuple[int, tuple[int, int]]] = enumerate(ds.word_pairs())
+    else:
+        pairs = _picked_pairs(ds, sorted(random.Random(seed).sample(range(n), ORACLE_COORDINATES)))
+    return [(j, tuple(t1 >> i & 1 | (t2 >> i & 1) << 1 for i in range(m))) for j, (t1, t2) in pairs]
+
+
+def _picked_pairs(ds: DefiningSet, picks: list[int]) -> list[tuple[int, tuple[int, int]]]:
+    """Each sorted pick j with its pair (t1, t2), without walking the pairs.
+
+    A block D1 x D2 holds the len(D1) * len(D2) pairs after those of the
+    blocks before it, D2 minor (:meth:`DefiningSet.word_pairs`), so pair j
+    of a block at offset o is (member i1 of D1, member i2 of D2) with
+    (i1, i2) = divmod(j - o, len(D2)).  Each block with a pick lists its
+    two parts' members once, O(2^m) like :attr:`DefiningSet.mu`.
+    """
+    out, offset = [], 0
+    for d1, d2 in ds.blocks:
+        width = len(d2)
+        end = offset + len(d1) * width
+        inside = [j for j in picks if offset <= j < end]
+        if inside:
+            t1s, t2s = tuple(d1.words()), tuple(d2.words())
+            for j in inside:
+                i1, i2 = divmod(j - offset, width)
+                out.append((j, (t1s[i1], t2s[i2])))
+        offset = end
     return out
+
+
+def _sum_table(elements: Sequence[RingElement]) -> list:
+    """The sums x_1*d_1 + ... + x_m*d_m of the elements x_i, as a table
+    walked by the indices of d: for d given as indices into ELEMENTS,
+    ``functools.reduce(operator.getitem, d, _sum_table(xs))`` is that sum.
+
+    Built backwards from the last coordinate: level m+1 maps each element
+    s to s, and level i maps s to the list of level i+1 at s + x_i*y for
+    y in ELEMENTS; the table is level 1 at ZERO.  Each entry is the value
+    s + x_i*y that the left fold ``sum(map(mul, xs, ys), ZERO)`` reaches at
+    that step, so for any deterministic + and * the walk ends on the
+    fold's element.  The table is built when called, through the
+    elements' own operators: 4 products and 16 sums per coordinate.
+    """
+    level: dict[RingElement, object] = {s: s for s in ELEMENTS}
+    for x in reversed(elements):
+        products = [x * y for y in ELEMENTS]
+        level = {s: [level[s + p] for p in products] for s in ELEMENTS}
+    return level[ZERO]
 
 
 def _spot_check(ds: DefiningSet) -> None:
@@ -604,36 +637,45 @@ def _spot_check(ds: DefiningSet) -> None:
 
     The messages are four corners plus 16 seeded random ones for m <= 2
     (so every message), else plus 8.  Each is checked along a chain.  The
-    oracle takes the message's 4m products v_i * y (y in ELEMENTS) once,
-    through the elements' own *, and sums each picked coordinate's m
-    products v_i * d_i through their own +: every coordinate when n <= 256
-    and 256 seeded picks otherwise (:func:`_oracle_pairs`).  Each sum must
-    be the element at that coordinate of the word-wide :func:`encode`
-    value, read from its two words.  The message's elements are read once
-    per message and each picked pair's once per code, from
-    :meth:`DefiningSet.word_pairs`: the oracle reads no coordinate word,
-    row or step table.  That codeword must be b times the XOR of the rows
-    alpha selects, and twice that word's weight the transform's.  The rows
-    share their words with :func:`encode`, so the links that see a fault
-    in those words are the first and the last, which walk the blocks apart
-    from them.  The tests keep the ring's :func:`~icodes.ring.dot` as the
-    per-coordinate reference, and the full 4^m message walk, which reads
-    no row, as the reference for every code up to m = 4.
+    oracle sums each picked coordinate's m products v_i * d_i through the
+    elements' own * and + (:func:`_oracle_pairs` picks them): 256 seeded
+    picks when n > 256, each by walking the message's sum table
+    (:func:`_sum_table`: 4m products, 16m sums) with d's indices; every
+    coordinate otherwise, each by adding its products one at a time (4m
+    products taken once, n*m sums).  The table would also serve the small
+    codes, but it runs the m <= 4 benchmark sweep about 1.5x faster, and
+    that sweep's peak RSS grows with its pass count, by 13% then, past its
+    10% bound.  The sums, as one list, must be the elements at those
+    coordinates of the word-wide :func:`encode` value, read from its two
+    words' bytes.  The message's elements are read once per message and
+    each picked pair's once per code, from the blocks: the oracle reads no
+    coordinate word, row or step table.  That codeword must be b times the
+    XOR of the rows alpha selects, and twice that word's weight the
+    transform's.  The rows share their words with :func:`encode`, so the
+    links that see a fault in those words are the first and the last,
+    which walk the blocks apart from them.  The tests keep the ring's
+    :func:`~icodes.ring.dot` as the per-coordinate reference, and the full
+    4^m message walk, which reads no row, as the reference for every code
+    up to m = 4.
     """
     m, n = ds.m, len(ds)
     weights, rows = ds.lee_weights, ds.rows
     seed = m * 0x9E3779B1 ^ n
     oracle = _oracle_pairs(ds, seed)
+    digits = [d for _j, d in oracle]
+    places = [(j >> 3, j & 7) for j, _d in oracle]
+    size = (n + 7) // 8
     for v in _sample_messages(m, 16 if m <= 2 else 8, seed):
         codeword = encode(v, ds)
-        products = [[x * y for y in ELEMENTS] for x in v.elements()]
-        s, t = codeword.s_word, codeword.t_word
+        if n > ORACLE_COORDINATES:
+            table = _sum_table(v.elements())
+            sums = [functools.reduce(operator.getitem, d, table) for d in digits]
+        else:
+            products = [[x * y for y in ELEMENTS] for x in v.elements()]
+            sums = [sum(map(operator.getitem, products, d), ZERO) for d in digits]
+        s, t = (word.to_bytes(size, "little") for word in (codeword.s_word, codeword.t_word))
         _check(
-            all(
-                sum(map(operator.getitem, products, d), ZERO)
-                == ELEMENTS[s >> j & 1 | (t >> j & 1) << 1]
-                for j, d in oracle
-            ),
+            sums == [ELEMENTS[s[k] >> b & 1 | (t[k] >> b & 1) << 1] for k, b in places],
             "per-coordinate ring arithmetic disagrees with the word-wide evaluation",
         )
         word = _combine(rows, v.s_word)
@@ -660,8 +702,8 @@ def enumerate_code(ds: DefiningSet, *, work_budget: int | None = None) -> CodeTa
     with its 2^m free b-parts; the kernel is the a-parts of weight 0.
     The table streams its codewords only when they are read.  Before
     that, :func:`_spot_check` checks the rows and the weights against the
-    elements' own ring arithmetic on sampled messages, each message's 4m
-    products taken once and each checked coordinate summed through +.
+    elements' own ring arithmetic on sampled messages, at every coordinate
+    of a code with n <= 256 and at 256 seeded ones otherwise.
     The work, the 2^m a-parts walked times max(n, 1), is charged against
     work_budget before mu or the rows are read; no other function
     charges it.

@@ -15,6 +15,7 @@ order of the bit word, and the textual form of a vector lists coordinate
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -325,18 +326,29 @@ def walsh_hadamard(values: list[int]) -> None:
     values[x] is the function at the vector with bit word x, and becomes
     the sum over y of values[y] * (-1)^(x . y): the character sum at x of
     the point multiset that values counts.  m butterfly passes of 2^(m-1)
-    integer additions each.
+    integer additions each.  A pass pairs i with i + half in blocks of
+    2*half and adds whole list slices: while half is below the number of
+    blocks, the slices are strided, one pair of them per offset below
+    half; after that, each block's two contiguous halves.
     """
     size = len(values)
     if size & (size - 1) or not size:
         raise ValueError(f"length must be a power of two, got {size}")
     half = 1
     while half < size:
-        for start in range(0, size, 2 * half):
-            for i in range(start, start + half):
-                x, y = values[i], values[i + half]
-                values[i], values[i + half] = x + y, x - y
-        half *= 2
+        step = 2 * half
+        if half < size // step:
+            for low in range(half):
+                x, y = values[low::step], values[low + half :: step]
+                values[low::step] = map(operator.add, x, y)
+                values[low + half :: step] = map(operator.sub, x, y)
+        else:
+            for low in range(0, size, step):
+                mid, high = low + half, low + step
+                x, y = values[low:mid], values[mid:high]
+                values[low:mid] = map(operator.add, x, y)
+                values[mid:high] = map(operator.sub, x, y)
+        half = step
 
 
 def gf2_basis(words: Iterable[int]) -> tuple[int, ...]:

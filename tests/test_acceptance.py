@@ -37,6 +37,7 @@ from icodes import (
     support_disjoint,
     theta_conditions,
 )
+from test_construction import gray_bits, lee_weight
 
 ADDITION_ROWS = ["0abc", "a0cb", "bc0a", "cba0"]
 MULTIPLICATION_ROWS = ["0000", "0b0b", "0000", "0b0b"]
@@ -249,14 +250,14 @@ def test_criterion_5_gray_isometry(capsys):
         for s in range(1 << m):
             for t in range(1 << m):
                 v = RingVector(m, s, t)
-                if v.gray_bits().bit_count() != v.lee_weight():
+                if gray_bits(v).bit_count() != lee_weight(v):
                     problems.append(f"weight at m={m} s={s} t={t}")
     rng = random.Random(99)
     for _ in range(10_000):
         m = rng.randint(1, 12)
         x = RingVector(m, rng.randrange(1 << m), rng.randrange(1 << m))
         y = RingVector(m, rng.randrange(1 << m), rng.randrange(1 << m))
-        if (x.gray_bits() ^ y.gray_bits()).bit_count() != (x + y).lee_weight():
+        if (gray_bits(x) ^ gray_bits(y)).bit_count() != lee_weight(x + y):
             problems.append(f"distance at m={m}")
     elapsed = time.perf_counter() - start
     ok = not problems and elapsed < 10

@@ -6,7 +6,9 @@ the library's arithmetic, against which small enumerations are compared.
 """
 
 import dataclasses
+import functools
 import itertools
+import operator
 import os
 import pathlib
 import random
@@ -79,6 +81,16 @@ def table_driven_code(ds):
     return profile, codewords
 
 
+def lee_weight(v):
+    """Lee weight of a ring vector: a and c weigh 1, b weighs 2."""
+    return v.t_word.bit_count() + (v.s_word ^ v.t_word).bit_count()
+
+
+def gray_bits(v):
+    """Gray image of a ring vector as a 2m-bit word: t-part low, (s+t)-part high."""
+    return v.t_word | (v.s_word ^ v.t_word) << v.m
+
+
 def plain_walk(ds):
     """Reference: the full 4^m message walk, each message through encode.
 
@@ -87,7 +99,7 @@ def plain_walk(ds):
     word set that is not a subspace fails the table's rank law, and the
     profile of c's weights it counts must be the derived one (the kernel
     law).  Also returns the Lee profile, each message's codeword weighed
-    by RingVector.lee_weight.
+    by lee_weight.
     """
     m = ds.m
     codeword_hits = Counter()
@@ -99,7 +111,7 @@ def plain_walk(ds):
             assert cw.s_word == 0, "every codeword must be b times a binary word"
             codeword_hits[cw.t_word] += 1
             profile[cw.t_word.bit_count()] += 1
-            lee_profile[cw.lee_weight()] += 1
+            lee_profile[lee_weight(cw)] += 1
     per_codeword = set(codeword_hits.values())
     assert len(per_codeword) == 1, "codeword preimage counts must be uniform"
     table = CodeTable(
@@ -407,7 +419,7 @@ def test_spec_rejects_non_integers(fields, message):
 def test_ring_vector_round_trip_and_weight():
     v = RingVector.from_string("0abc")
     assert str(v) == "0abc"
-    assert v.lee_weight() == 0 + 1 + 2 + 1
+    assert lee_weight(v) == 0 + 1 + 2 + 1
     assert v.element(2).symbol == "a"
     for i in range(1, 5):
         assert v.element(i) is ELEMENTS[i - 1]
@@ -427,8 +439,8 @@ def test_ring_vector_round_trip_and_weight():
 def test_ring_vector_gray_blocks():
     # "ab": t-part is 01 (bit 1), s+t part is 11 (bits 2 and 3)
     v = RingVector.from_string("ab")
-    assert v.gray_bits() == 0b1110
-    assert v.gray_bits().bit_count() == v.lee_weight() == 3
+    assert gray_bits(v) == 0b1110
+    assert gray_bits(v).bit_count() == lee_weight(v) == 3
 
 
 def test_encode_zero_message_gives_zero_codeword():
@@ -441,14 +453,14 @@ def test_encode_worked_example():
     ds = build_defining_set(spec(Variant.T1, 2, {1}, {2}))
     cw = encode(RingVector.from_string("a0"), ds)
     assert str(cw) == "00bb"
-    assert cw.lee_weight() == 4
+    assert lee_weight(cw) == 4
 
 
 def test_encode_b_multiples_lie_in_kernel():
     ds = build_defining_set(spec(Variant.T2, 3, {1}, {2}))
     for t_word in range(8):
         cw = encode(RingVector(3, 0, t_word), ds)
-        assert cw.lee_weight() == 0
+        assert lee_weight(cw) == 0
 
 
 def test_encode_agrees_with_symbol_table_oracle():
@@ -514,7 +526,7 @@ def test_coordinate_words_are_the_pair_bits():
     "s, flip",
     [
         (spec(Variant.T2, 3, {1}, {2}), lambda n: 1 << 5),
-        # n = 1022 > 256: the oracle sees 256 seeded coordinates, so flip them all
+        # n = 512 > 256: the oracle sees 256 seeded coordinates, so flip them all
         (spec(Variant.T2, 9, {1, 2, 3, 4, 5, 6, 7, 8}, {1}), lambda n: (1 << n) - 1),
     ],
     ids=["one-bit", "sampled-coordinates"],
@@ -600,6 +612,10 @@ def test_odd_lee_weight_check_survives_optimized_mode():
     assert "AssertionError: every Lee weight must be even: each codeword is b*c" in result.stderr
 
 
+#: T2 m = 9 with n = 1022 > 256: the oracle checks 256 seeded coordinates.
+SAMPLED_SPEC = spec(Variant.T2, 9, (), {1})
+
+
 @pytest.mark.parametrize(
     "name, wrong",
     [
@@ -611,29 +627,32 @@ def test_odd_lee_weight_check_survives_optimized_mode():
     ids=["mul", "add"],
 )
 def test_patched_ring_arithmetic_fails_the_oracle(monkeypatch, name, wrong):
-    # the oracle runs the ring's own operations one coordinate at a time,
-    # so a change made after import reaches it (the word-wide steps were
+    # the oracle calls the ring's own operations as it runs, one coordinate
+    # at a time (n = 12) or to build each message's sum table (n = 1022), so
+    # a change made after import reaches it (the word-wide steps were
     # read from the tables at import and do not see it)
-    ds = build_defining_set(spec(Variant.T2, 3, {1}, {2}))
+    sets = [build_defining_set(s) for s in (spec(Variant.T2, 3, {1}, {2}), SAMPLED_SPEC)]
     monkeypatch.setattr(RingElement, name, wrong)
-    with pytest.raises(
-        AssertionError,
-        match="per-coordinate ring arithmetic disagrees with the word-wide evaluation",
-    ):
-        enumerate_code(ds)
+    for ds in sets:
+        with pytest.raises(
+            AssertionError,
+            match="per-coordinate ring arithmetic disagrees with the word-wide evaluation",
+        ):
+            enumerate_code(ds)
 
 
 @pytest.mark.parametrize(
-    "s, picks",
+    "s, sums",
     [
-        (spec(Variant.T2, 3, {1}, {2}), 12),  # n = 12: every coordinate
-        (spec(Variant.T2, 9, {1, 2, 3, 4, 5, 6, 7, 8}, {1}), 256),  # n = 512: seeded picks
+        # n = 12: every coordinate, each adding its m products
+        (spec(Variant.T2, 3, {1}, {2}), lambda m: 12 * m),
+        # n = 512: 256 seeded picks, walked through a table of 16m sums
+        (spec(Variant.T2, 9, {1, 2, 3, 4, 5, 6, 7, 8}, {1}), lambda m: 16 * m),
     ],
     ids=["every-coordinate", "sampled-coordinates"],
 )
-def test_oracle_multiplies_each_message_once(monkeypatch, s, picks):
-    # 4 corners + 8 seeded messages; each takes its 4m products v_i * y once,
-    # and each picked coordinate sums its m products through the ring's +
+def test_oracle_multiplies_each_message_once(monkeypatch, s, sums):
+    # 4 corners + 8 seeded messages; each takes its 4m products v_i * y once
     ds = build_defining_set(s)
     messages, m = 12, ds.m
     calls = Counter()
@@ -644,7 +663,46 @@ def test_oracle_multiplies_each_message_once(monkeypatch, s, picks):
 
         monkeypatch.setattr(RingElement, name, counted)
     enumerate_code(ds)
-    assert calls == {"__mul__": messages * 4 * m, "__add__": messages * picks * m}
+    assert calls == {"__mul__": messages * 4 * m, "__add__": messages * sums(m)}
+
+
+def test_sum_table_walks_to_every_dot():
+    for m in range(1, 4):
+        for s_word, t_word in itertools.product(range(1 << m), repeat=2):
+            xs = RingVector(m, s_word, t_word).elements()
+            table = construction._sum_table(xs)
+            for d in itertools.product(range(4), repeat=m):
+                walked = functools.reduce(operator.getitem, d, table)
+                assert walked == dot(xs, [ELEMENTS[i] for i in d]), (xs, d)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        SAMPLED_SPEC,
+        spec(Variant.T5, 7, {1, 2, 3}, {4, 5}),  # two blocks, n = 16352
+        spec(Variant.T5, 5, {1, 2, 3, 4, 5}, {1}),  # first block empty, n = 960
+        DefiningSetSpec(
+            variant=Variant.GENERIC,
+            m=4,
+            d1=tuple(BitVector(4, x) for x in (3, 0, 3, 9, 15, 9, 9, 6, 0, 12) * 2),
+            d2=tuple(BitVector(4, x) for x in (5, 1, 5, 14, 0, 7, 5, 2, 11, 1, 8, 13, 5, 4)),
+        ),  # repeated members, n = 280
+    ],
+    ids=["T2-m9", "T5-two-blocks", "T5-empty-first-block", "generic-repeats"],
+)
+def test_block_arithmetic_picks_the_walked_pairs(s):
+    ds = build_defining_set(s)
+    n = len(ds)
+    assert n > construction.ORACLE_COORDINATES
+    pairs = list(ds.word_pairs())
+    for seed in (0, 1, 0x9E3779B1 * ds.m ^ n):
+        oracle = construction._oracle_pairs(ds, seed)
+        picks = sorted(random.Random(seed).sample(range(n), construction.ORACLE_COORDINATES))
+        assert [j for j, _d in oracle] == picks
+        for j, d in oracle:
+            t1, t2 = pairs[j]
+            assert d == tuple(t1 >> i & 1 | (t2 >> i & 1) << 1 for i in range(ds.m))
 
 
 # --- enumeration ---------------------------------------------------------------
@@ -957,9 +1015,9 @@ def test_gray_image_of_worked_example():
 
 def test_gray_zero_and_all_b_codewords():
     zero = RingVector(4, 0, 0)
-    assert zero.gray_bits() == 0
+    assert gray_bits(zero) == 0
     all_b = RingVector(4, 0, 0b1111)
-    assert all_b.gray_bits() == 0b11111111
+    assert gray_bits(all_b) == 0b11111111
 
 
 def test_gray_isometry_exhaustive_small():
@@ -967,7 +1025,7 @@ def test_gray_isometry_exhaustive_small():
         for s in range(1 << m):
             for t in range(1 << m):
                 v = RingVector(m, s, t)
-                assert v.gray_bits().bit_count() == v.lee_weight()
+                assert gray_bits(v).bit_count() == lee_weight(v)
 
 
 def test_gray_distance_form_random_pairs():
@@ -977,7 +1035,7 @@ def test_gray_distance_form_random_pairs():
         x = RingVector(m, rng.randrange(1 << m), rng.randrange(1 << m))
         y = RingVector(m, rng.randrange(1 << m), rng.randrange(1 << m))
         diff = x + y  # additive group has exponent 2, so x - y = x + y
-        assert (x.gray_bits() ^ y.gray_bits()).bit_count() == diff.lee_weight()
+        assert (gray_bits(x) ^ gray_bits(y)).bit_count() == lee_weight(diff)
 
 
 def test_binary_params_reference_values():

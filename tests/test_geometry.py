@@ -323,14 +323,30 @@ def test_character_sum_dimension_mismatch():
 # --- Walsh-Hadamard transform -------------------------------------------------
 
 
+def scalar_walsh_hadamard(values):
+    """Reference: the transform one butterfly at a time, in place."""
+    half = 1
+    while half < len(values):
+        for start in range(0, len(values), 2 * half):
+            for i in range(start, start + half):
+                x, y = values[i], values[i + half]
+                values[i], values[i + half] = x + y, x - y
+        half *= 2
+
+
 def test_walsh_hadamard_gives_every_character_sum():
     rng = random.Random(5)
-    for m in range(1, 6):
+    for m in range(1, 11):
         counts = [rng.randrange(4) for _ in range(1 << m)]
-        points = [BitVector(m, x) for x, count in enumerate(counts) for _ in range(count)]
         transform = list(counts)
         walsh_hadamard(transform)
-        assert transform == [character_sum(alpha, points) for alpha in all_vectors(m)]
+        reference = list(counts)
+        scalar_walsh_hadamard(reference)
+        assert transform == reference
+        assert all(type(total) is int for total in transform)
+        if m <= 5:
+            points = [BitVector(m, x) for x, count in enumerate(counts) for _ in range(count)]
+            assert transform == [character_sum(alpha, points) for alpha in all_vectors(m)]
         walsh_hadamard(transform)  # the transform is its own inverse up to 2^m
         assert transform == [count << m for count in counts]
     single = [5]
