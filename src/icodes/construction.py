@@ -34,13 +34,13 @@ c, and :func:`gray_image` that of (c, c), which every Lee fact is read off.
 :func:`encode` takes every coordinate at once, moving n-bit element
 masks through the ring's tables.  :func:`enumerate_code` always
 spot-checks the rows and the transform against the elements' own ring
-arithmetic on sampled messages, summing each of a large code's 256
-sampled coordinates through a per-message table of 4m products and 16m
-sums (:func:`_sum_table`; :func:`_spot_check` states the chain).  Each
-law is checked with explicit raises that survive ``python -O``: the laws
-of the weight data and the rank when a table is constructed, so no table
-exists unless they hold, and the laws that read codewords as codewords
-are streamed.
+arithmetic on sampled messages, summing every coordinate of a code with
+n <= 256, else 256 seeded ones, through a per-message table of 4m
+products and 16m sums (:func:`_sum_table`; :func:`_spot_check` states
+the chain).  Each law is checked with explicit raises that survive
+``python -O``: the laws of the weight data and the rank when a table is
+constructed, so no table exists unless they hold, and the laws that read
+codewords as codewords are streamed.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from .geometry import (
 from .ring import (
     ELEMENTS,
     SYMBOLS,
-    ZERO,
     RingElement,
     addition_table,
     multiplication_table,
@@ -84,7 +83,7 @@ _SYMBOL_OF_DIGIT = str.maketrans("0123", _SYMBOL_TEXT)
 #: A symbol to its s bit, and to its t bit, as 0/1 text.
 _S_BIT_OF_SYMBOL = str.maketrans(_SYMBOL_TEXT, "0101")
 _T_BIT_OF_SYMBOL = str.maketrans(_SYMBOL_TEXT, "0011")
-#: Most coordinates per code that the agreement check evaluates one by one.
+#: Most coordinates per code that the agreement check sums through the ring.
 ORACLE_COORDINATES = 256
 
 
@@ -576,28 +575,24 @@ def _sample_messages(m: int, count: int, seed: int) -> list[RingVector]:
 
 
 def _oracle_pairs(ds: DefiningSet, seed: int) -> list[tuple[int, tuple[int, ...]]]:
-    """The coordinates j that the agreement check evaluates one by one,
-    each with its pair's m elements as indices s | t << 1 into ELEMENTS:
-    every coordinate when n <= 256, in one walk of
-    :meth:`DefiningSet.word_pairs`, else 256 drawn by a seeded sample,
-    each found by block arithmetic (:func:`_picked_pairs`)."""
-    m, n = ds.m, len(ds)
-    if n <= ORACLE_COORDINATES:
-        pairs: Iterable[tuple[int, tuple[int, int]]] = enumerate(ds.word_pairs())
-    else:
-        pairs = _picked_pairs(ds, sorted(random.Random(seed).sample(range(n), ORACLE_COORDINATES)))
-    return [(j, tuple(t1 >> i & 1 | (t2 >> i & 1) << 1 for i in range(m))) for j, (t1, t2) in pairs]
+    """The coordinates j that the agreement check evaluates, in increasing
+    order, each with its pair's m elements as indices s | t << 1 into
+    ELEMENTS: every coordinate when n <= 256, else 256 drawn by a seeded
+    sample.
 
-
-def _picked_pairs(ds: DefiningSet, picks: list[int]) -> list[tuple[int, tuple[int, int]]]:
-    """Each sorted pick j with its pair (t1, t2), without walking the pairs.
-
-    A block D1 x D2 holds the len(D1) * len(D2) pairs after those of the
-    blocks before it, D2 minor (:meth:`DefiningSet.word_pairs`), so pair j
-    of a block at offset o is (member i1 of D1, member i2 of D2) with
-    (i1, i2) = divmod(j - o, len(D2)).  Each block with a pick lists its
-    two parts' members once, O(2^m) like :attr:`DefiningSet.mu`.
+    Each pick is placed without walking the pairs.  A block D1 x D2 holds
+    the len(D1) * len(D2) pairs after those of the blocks before it, D2
+    minor (:meth:`DefiningSet.word_pairs`), so pair j of a block at offset
+    o is (member i1 of D1, member i2 of D2) with (i1, i2) =
+    divmod(j - o, len(D2)).  Each block with a pick lists its two parts'
+    members once, O(2^m) like :attr:`DefiningSet.mu`.
     """
+    m, n = ds.m, len(ds)
+    picks = (
+        range(n)
+        if n <= ORACLE_COORDINATES
+        else sorted(random.Random(seed).sample(range(n), ORACLE_COORDINATES))
+    )
     out, offset = [], 0
     for d1, d2 in ds.blocks:
         width = len(d2)
@@ -607,7 +602,8 @@ def _picked_pairs(ds: DefiningSet, picks: list[int]) -> list[tuple[int, tuple[in
             t1s, t2s = tuple(d1.words()), tuple(d2.words())
             for j in inside:
                 i1, i2 = divmod(j - offset, width)
-                out.append((j, (t1s[i1], t2s[i2])))
+                t1, t2 = t1s[i1], t2s[i2]
+                out.append((j, tuple(t1 >> i & 1 | (t2 >> i & 1) << 1 for i in range(m))))
         offset = end
     return out
 
@@ -619,17 +615,20 @@ def _sum_table(elements: Sequence[RingElement]) -> list:
 
     Built backwards from the last coordinate: level m+1 maps each element
     s to s, and level i maps s to the list of level i+1 at s + x_i*y for
-    y in ELEMENTS; the table is level 1 at ZERO.  Each entry is the value
-    s + x_i*y that the left fold ``sum(map(mul, xs, ys), ZERO)`` reaches at
-    that step, so for any deterministic + and * the walk ends on the
-    fold's element.  The table is built when called, through the
-    elements' own operators: 4 products and 16 sums per coordinate.
+    y in ELEMENTS; the table is level 1 at 0.  Each level is a list
+    indexed as ELEMENTS is, by s | t << 1, so no element is hashed.  Each
+    entry is the value s + x_i*y that the left fold
+    ``sum(map(mul, xs, ys), ZERO)`` reaches at that step, so for any
+    deterministic + and * the walk ends on the fold's element.  The table
+    is built when called, through the elements' own operators: 4 products
+    and 16 sums per coordinate.
     """
-    level: dict[RingElement, object] = {s: s for s in ELEMENTS}
+    level: list = list(ELEMENTS)
     for x in reversed(elements):
         products = [x * y for y in ELEMENTS]
-        level = {s: [level[s + p] for p in products] for s in ELEMENTS}
-    return level[ZERO]
+        sums = [[s + p for p in products] for s in ELEMENTS]
+        level = [[level[total.s | total.t << 1] for total in row] for row in sums]
+    return level[0]
 
 
 def _spot_check(ds: DefiningSet) -> None:
@@ -638,14 +637,10 @@ def _spot_check(ds: DefiningSet) -> None:
     The messages are four corners plus 16 seeded random ones for m <= 2
     (so every message), else plus 8.  Each is checked along a chain.  The
     oracle sums each picked coordinate's m products v_i * d_i through the
-    elements' own * and + (:func:`_oracle_pairs` picks them): 256 seeded
-    picks when n > 256, each by walking the message's sum table
-    (:func:`_sum_table`: 4m products, 16m sums) with d's indices; every
-    coordinate otherwise, each by adding its products one at a time (4m
-    products taken once, n*m sums).  The table would also serve the small
-    codes, but it runs the m <= 4 benchmark sweep about 1.5x faster, and
-    that sweep's peak RSS grows with its pass count, by 13% then, past its
-    10% bound.  The sums, as one list, must be the elements at those
+    elements' own * and + (:func:`_oracle_pairs` picks them: every
+    coordinate when n <= 256, else 256 seeded ones), by walking the
+    message's sum table (:func:`_sum_table`: 4m products, 16m sums) with
+    d's indices.  The sums, as one list, must be the elements at those
     coordinates of the word-wide :func:`encode` value, read from its two
     words' bytes.  The message's elements are read once per message and
     each picked pair's once per code, from the blocks: the oracle reads no
@@ -667,12 +662,8 @@ def _spot_check(ds: DefiningSet) -> None:
     size = (n + 7) // 8
     for v in _sample_messages(m, 16 if m <= 2 else 8, seed):
         codeword = encode(v, ds)
-        if n > ORACLE_COORDINATES:
-            table = _sum_table(v.elements())
-            sums = [functools.reduce(operator.getitem, d, table) for d in digits]
-        else:
-            products = [[x * y for y in ELEMENTS] for x in v.elements()]
-            sums = [sum(map(operator.getitem, products, d), ZERO) for d in digits]
+        table = _sum_table(v.elements())
+        sums = [functools.reduce(operator.getitem, d, table) for d in digits]
         s, t = (word.to_bytes(size, "little") for word in (codeword.s_word, codeword.t_word))
         _check(
             sums == [ELEMENTS[s[k] >> b & 1 | (t[k] >> b & 1) << 1] for k, b in places],
@@ -703,7 +694,8 @@ def enumerate_code(ds: DefiningSet, *, work_budget: int | None = None) -> CodeTa
     The table streams its codewords only when they are read.  Before
     that, :func:`_spot_check` checks the rows and the weights against the
     elements' own ring arithmetic on sampled messages, at every coordinate
-    of a code with n <= 256 and at 256 seeded ones otherwise.
+    of a code with n <= 256 and at 256 seeded ones otherwise, each summed
+    through one table per message.
     The work, the 2^m a-parts walked times max(n, 1), is charged against
     work_budget before mu or the rows are read; no other function
     charges it.

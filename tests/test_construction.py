@@ -627,10 +627,10 @@ SAMPLED_SPEC = spec(Variant.T2, 9, (), {1})
     ids=["mul", "add"],
 )
 def test_patched_ring_arithmetic_fails_the_oracle(monkeypatch, name, wrong):
-    # the oracle calls the ring's own operations as it runs, one coordinate
-    # at a time (n = 12) or to build each message's sum table (n = 1022), so
-    # a change made after import reaches it (the word-wide steps were
-    # read from the tables at import and do not see it)
+    # the oracle calls the ring's own operations as it runs, to build each
+    # message's sum table (at every coordinate of n = 12, at 256 of
+    # n = 1022), so a change made after import reaches it (the word-wide
+    # steps were read from the tables at import and do not see it)
     sets = [build_defining_set(s) for s in (spec(Variant.T2, 3, {1}, {2}), SAMPLED_SPEC)]
     monkeypatch.setattr(RingElement, name, wrong)
     for ds in sets:
@@ -641,18 +641,49 @@ def test_patched_ring_arithmetic_fails_the_oracle(monkeypatch, name, wrong):
             enumerate_code(ds)
 
 
+def test_oracle_sees_a_flipped_coordinate_anywhere(monkeypatch):
+    # n = 60 <= 256, in blocks of 48 and 12: every coordinate is checked,
+    # so an encoder wrong at any one of them fails the first link
+    ds = build_defining_set(spec(Variant.T5, 3, {1}, {2}))
+    assert [len(d1) * len(d2) for d1, d2 in ds.blocks] == [48, 12]
+    original = construction.encode
+    for j in range(len(ds)):
+        def flipped(v, ds, j=j):
+            codeword = original(v, ds)
+            return RingVector(codeword.m, codeword.s_word, codeword.t_word ^ 1 << j)
+
+        monkeypatch.setattr(construction, "encode", flipped)
+        with pytest.raises(
+            AssertionError,
+            match="per-coordinate ring arithmetic disagrees with the word-wide evaluation",
+        ):
+            enumerate_code(ds)
+
+
+def test_spot_check_hashes_no_ring_element(monkeypatch):
+    # the sum table's levels are indexed by s | t << 1, not keyed by element
+    def unhashable(x):
+        raise TypeError("RingElement.__hash__ called")
+
+    sets = [build_defining_set(s) for s in (spec(Variant.T2, 3, {1}, {2}), SAMPLED_SPEC)]
+    monkeypatch.setattr(RingElement, "__hash__", unhashable)
+    for ds in sets:
+        enumerate_code(ds)
+
+
 @pytest.mark.parametrize(
     "s, sums",
     [
-        # n = 12: every coordinate, each adding its m products
-        (spec(Variant.T2, 3, {1}, {2}), lambda m: 12 * m),
-        # n = 512: 256 seeded picks, walked through a table of 16m sums
+        # n = 12: every coordinate, walked through a table of 16m sums
+        (spec(Variant.T2, 3, {1}, {2}), lambda m: 16 * m),
+        # n = 512: 256 seeded picks, walked through the same table
         (spec(Variant.T2, 9, {1, 2, 3, 4, 5, 6, 7, 8}, {1}), lambda m: 16 * m),
     ],
     ids=["every-coordinate", "sampled-coordinates"],
 )
 def test_oracle_multiplies_each_message_once(monkeypatch, s, sums):
     # 4 corners + 8 seeded messages; each takes its 4m products v_i * y once
+    # and its 16m sums once, however many coordinates it checks
     ds = build_defining_set(s)
     messages, m = 12, ds.m
     calls = Counter()
@@ -688,17 +719,38 @@ def test_sum_table_walks_to_every_dot():
             d1=tuple(BitVector(4, x) for x in (3, 0, 3, 9, 15, 9, 9, 6, 0, 12) * 2),
             d2=tuple(BitVector(4, x) for x in (5, 1, 5, 14, 0, 7, 5, 2, 11, 1, 8, 13, 5, 4)),
         ),  # repeated members, n = 280
+        # n <= 256: every coordinate is picked
+        spec(Variant.T5, 4, {1}, {2}),  # two blocks, n = 252
+        spec(Variant.T5, 3, {1, 2, 3}, {1}),  # first block empty, n = 48
+        DefiningSetSpec(
+            variant=Variant.GENERIC,
+            m=4,
+            d1=tuple(BitVector(4, x) for x in (3, 0, 3, 9, 15, 9, 9, 6, 0, 12)),
+            d2=tuple(BitVector(4, x) for x in (5, 1, 5, 14, 0, 7, 5, 2, 11, 1, 8, 13, 5, 4)),
+        ),  # repeated members, n = 140
+        spec(Variant.T1, 1),  # n = 1
     ],
-    ids=["T2-m9", "T5-two-blocks", "T5-empty-first-block", "generic-repeats"],
+    ids=[
+        "T2-m9",
+        "T5-two-blocks",
+        "T5-empty-first-block",
+        "generic-repeats",
+        "T5-two-blocks-every-coordinate",
+        "T5-empty-first-block-every-coordinate",
+        "generic-repeats-every-coordinate",
+        "T1-m1-one-coordinate",
+    ],
 )
 def test_block_arithmetic_picks_the_walked_pairs(s):
     ds = build_defining_set(s)
     n = len(ds)
-    assert n > construction.ORACLE_COORDINATES
     pairs = list(ds.word_pairs())
     for seed in (0, 1, 0x9E3779B1 * ds.m ^ n):
         oracle = construction._oracle_pairs(ds, seed)
-        picks = sorted(random.Random(seed).sample(range(n), construction.ORACLE_COORDINATES))
+        if n <= construction.ORACLE_COORDINATES:
+            picks = list(range(n))
+        else:
+            picks = sorted(random.Random(seed).sample(range(n), construction.ORACLE_COORDINATES))
         assert [j for j, _d in oracle] == picks
         for j, d in oracle:
             t1, t2 = pairs[j]
