@@ -6,15 +6,18 @@ those blocks, never as its n pairs.  One table (:func:`_blocks`) states
 each variant's blocks.  T1..T4 have one, whose parts are Delta_M or
 Delta_N (the vectors supported inside M or N) or their complements in
 F_2^m; T5, the complement in I^m of the T1 set, has two disjoint ones;
-GENERIC has one, of its given lists.  Each part lists its members in
-increasing order and has a closed-form size, so lengths and empty-set
-errors build no members, and :func:`enumerate_code`, the one place that
-charges the work budget, charges it before anything is read; the blocks
-and mu take O(2^m) memory whatever n is, and the 2m coordinate words,
-cached once read, add 2m*n bits.  The pairs are each block's plain
-product D1 x D2 in turn (the one order, stated in
-:meth:`DefiningSet.word_pairs`), listed only when that method walks
-them.  The code is the image of the evaluation
+GENERIC has one, of its given lists.  Each part has a closed-form size,
+so lengths and empty-set errors build no members, and
+:func:`enumerate_code`, the one place that charges the work budget,
+charges it before anything is read.  A part lists its members once, in
+increasing order, as one cached tuple that mu, the coordinate words and
+the spot check's picks all read.  The blocks and mu take O(2^m) memory
+whatever n is, and the 2m coordinate words, cached once read, add 2m*n
+bits; they are built from each part's per-coordinate 0/1 column texts
+by C-level bytes and int operations, with no Python step per pair.
+The pairs are each block's plain product D1 x D2 in turn (the one
+order, stated in :meth:`DefiningSet.word_pairs`), listed only when that
+method walks them.  The code is the image of the evaluation
 map v -> (v . d)_{d in D} over all messages v in I^m; because b kills
 every product, a codeword depends only on the a-part alpha of the
 message: the code is b times the row space of one m x n
@@ -25,9 +28,9 @@ alpha's codeword is the character sum n - mu_hat(alpha):
 :attr:`DefiningSet.lee_weights` holds every weight from one
 Walsh-Hadamard transform of mu, which :func:`enumerate_code` and the
 minimality certificate share.  Both mu and the coordinate words are
-read off the blocks, and the rows are the s-half of the coordinate
-words.  A :class:`CodeTable` is a binary linear code: its generator rows,
-reduced once to the canonical reduced echelon basis, with its weight
+read off the blocks' member tuples, and the rows are the s-half of the
+coordinate words.  A :class:`CodeTable` is a binary linear code: its
+generator rows, reduced once to the canonical reduced echelon basis, with its weight
 distribution and kernel size; its codewords stream from the basis as
 ints in increasing order.  :func:`enumerate_code` returns the table of
 c, and :func:`gray_image` that of (c, c), which every Lee fact is read off.
@@ -45,10 +48,12 @@ codewords as codewords are streamed.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import operator
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -59,7 +64,6 @@ from .errors import BudgetExceededError, DimensionMismatchError, EmptyDefiningSe
 from .geometry import (
     MAX_DIMENSION,
     BitVector,
-    SimplicialComplex,
     bit_string,
     complex_from_generator,
     gf2_basis,
@@ -242,23 +246,32 @@ class DefiningSet:
 
         Bit j of s_i is bit i-1 of t1 in pair j, and bit j of t_i the same
         bit of t2, so coordinate i of pair j is a*s + b*t for those bits.
-        A block D1 x D2 is a plain product (:meth:`word_pairs`), so each
-        member of D1 fills len(D2) consecutive bits of s_i with its bit,
-        and t_i repeats the pattern of D2 len(D1) times.
+        Each part's members are transposed once into m per-coordinate 0/1
+        column texts (:func:`_columns`).  A block D1 x D2 is a plain
+        product (:meth:`word_pairs`), so each member of D1 fills len(D2)
+        consecutive bits of s_i with its bit: the D1 column spread to
+        stride len(D2), times 2^len(D2) - 1.  t_i repeats the D2 column
+        len(D1) times (:func:`_repeated`).  Each block's words are shifted
+        past the blocks before it.
         """
-        # each block's parts, from the last pair down
+        m = self.m
         layout = [
-            (tuple(d1.words())[::-1], tuple(d2.words())[::-1]) for d1, d2 in reversed(self.blocks)
+            (_columns(d1.members, m), _columns(d2.members, m), len(d2), len(d1))
+            for d1, d2 in self.blocks
         ]
         s_words, t_words = [], []
-        for i in range(self.m):
-            s_text, t_text = [], []
-            for t1_words, t2_words in layout:
-                zero, one = "0" * len(t2_words), "1" * len(t2_words)
-                s_text += [one if x >> i & 1 else zero for x in t1_words]
-                t_text.append("".join(["01"[y >> i & 1] for y in t2_words]) * len(t1_words))
-            s_words.append(int("".join(s_text), 2))
-            t_words.append(int("".join(t_text), 2))
+        for i in range(m):
+            s = t = offset = 0
+            for d1_columns, d2_columns, width, count in layout:
+                if width and count:  # a block with no pairs adds no bits
+                    spread = bytearray(b"0") * (count * width)
+                    spread[width - 1 :: width] = d1_columns[i]
+                    x = int(spread, 2)  # bit k * width is bit i of member k of D1
+                    s |= ((x << width) - x) << offset  # x * (2^width - 1)
+                    t |= _repeated(int(d2_columns[i], 2), width, count) << offset
+                    offset += count * width
+            s_words.append(s)
+            t_words.append(t)
         return tuple(s_words), tuple(t_words)
 
     @cached_property
@@ -271,7 +284,7 @@ class DefiningSet:
         mu = [0] * (1 << self.m)
         for d1, d2 in self.blocks:
             width = len(d2)
-            for x in d1.words():
+            for x in d1.members:
                 mu[x] += width
         _check(sum(mu) == len(self), "the listed members disagree with the closed-form length")
         return mu
@@ -283,8 +296,7 @@ class DefiningSet:
         the one transform that enumeration and the certificates share."""
         weights = list(self.mu)
         walsh_hadamard(weights)
-        n = len(self)
-        return tuple(n - total for total in weights)
+        return tuple(map(len(self).__sub__, weights))
 
     @property
     def pairs(self) -> Iterator[tuple[BitVector, BitVector]]:
@@ -303,7 +315,7 @@ class DefiningSet:
         times repeats its whole run of len(D2) pairs k times.
         """
         for d1, d2 in self.blocks:
-            yield from itertools.product(d1.words(), d2.words())
+            yield from itertools.product(d1.members, d2.members)
 
 
 @dataclass(frozen=True)
@@ -311,8 +323,11 @@ class _Part:
     """One factor of a block: Delta_S, or its complement in F_2^m.
 
     len() is the closed form 2^|S| (2^m - 2^|S| for the complement), so
-    sizing a block builds no members; words() lists the members in
-    increasing integer order.  All of F_2^m is Delta_[m].
+    sizing a block builds no members.  :attr:`members` lists them once per
+    part, in increasing integer order, and mu, the coordinate words and
+    the spot check's picks all read that one tuple; a complement is
+    :meth:`geometry.ComplexComplement.words`, F_2^m filtered by a set of
+    Delta_S at C speed.  All of F_2^m is Delta_[m].
     """
 
     m: int
@@ -324,12 +339,9 @@ class _Part:
         return size if self.inside else (1 << self.m) - size
 
     @cached_property
-    def _complex(self) -> SimplicialComplex:
-        return complex_from_generator(self.m, self.indices)
-
-    def words(self) -> Iterator[int]:
-        complex_ = self._complex
-        return iter((complex_ if self.inside else complex_.complement()).words())
+    def members(self) -> tuple[int, ...]:
+        complex_ = complex_from_generator(self.m, self.indices)
+        return complex_.words() if self.inside else tuple(complex_.complement().words())
 
 
 @dataclass(frozen=True)
@@ -343,8 +355,40 @@ class _Listed:
     def __len__(self) -> int:
         return len(self.members)
 
-    def words(self) -> Iterator[int]:
-        return iter(self.members)
+
+def _columns(members: Sequence[int], m: int) -> list[bytes]:
+    """The m per-coordinate columns of a part as ASCII 0/1 texts, the last
+    member first: character k of column i is bit i of member -1-k, so
+    int(column, 2) has bit k set where member k has bit i.
+
+    One pass: the members become array lanes, one int of all their bytes
+    and its binary text, in which bit i of every lane is a strided slice.
+    The lanes are read little-endian on every host (swapped first on a
+    big-endian one), so lane k fills bits width*k.. of the int and the
+    last lane leads the text.
+    """
+    if not members:
+        return [b""] * m
+    lanes = array.array("I", members)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    width = 8 * lanes.itemsize
+    bits = int.from_bytes(lanes.tobytes(), "little")
+    text = format(bits, f"0{len(lanes) * width}b").encode()
+    return [text[width - 1 - i :: width] for i in range(m)]
+
+
+def _repeated(word: int, width: int, count: int) -> int:
+    """count copies of a width-bit word side by side, built by doubling:
+    O(log count) shifts and ORs of at most count * width bits."""
+    out, copies = word, 1
+    for bit in format(count, "b")[1:]:
+        out |= out << copies * width
+        copies *= 2
+        if bit == "1":
+            out = out << width | word
+            copies += 1
+    return out
 
 
 #: Why a variant's defining set can be empty; T1 and GENERIC never are.
@@ -584,8 +628,7 @@ def _oracle_pairs(ds: DefiningSet, seed: int) -> list[tuple[int, tuple[int, ...]
     the len(D1) * len(D2) pairs after those of the blocks before it, D2
     minor (:meth:`DefiningSet.word_pairs`), so pair j of a block at offset
     o is (member i1 of D1, member i2 of D2) with (i1, i2) =
-    divmod(j - o, len(D2)).  Each block with a pick lists its two parts'
-    members once, O(2^m) like :attr:`DefiningSet.mu`.
+    divmod(j - o, len(D2)), read from the parts' :attr:`_Part.members`.
     """
     m, n = ds.m, len(ds)
     picks = (
@@ -599,7 +642,7 @@ def _oracle_pairs(ds: DefiningSet, seed: int) -> list[tuple[int, tuple[int, ...]
         end = offset + len(d1) * width
         inside = [j for j in picks if offset <= j < end]
         if inside:
-            t1s, t2s = tuple(d1.words()), tuple(d2.words())
+            t1s, t2s = d1.members, d2.members
             for j in inside:
                 i1, i2 = divmod(j - offset, width)
                 t1, t2 = t1s[i1], t2s[i2]

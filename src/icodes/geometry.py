@@ -15,6 +15,7 @@ order of the bit word, and the textual form of a vector lists coordinate
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -191,9 +192,10 @@ class ComplexComplement:
         return (1 << self.base.m) - len(self.base)
 
     def words(self) -> Iterator[int]:
-        """The members' bit words, in increasing order, streamed."""
+        """The members' bit words, in increasing order, streamed: F_2^m
+        filtered by a set of the base's members at C speed."""
         inside = set(self.base._member_bits)
-        return (bits for bits in range(1 << self.base.m) if bits not in inside)
+        return itertools.filterfalse(inside.__contains__, range(1 << self.base.m))
 
     def __iter__(self) -> Iterator[BitVector]:
         return (BitVector(self.base.m, bits) for bits in self.words())

@@ -5,6 +5,7 @@ encoder written directly from the 4x4 symbol tables, sharing nothing with
 the library's arithmetic, against which small enumerations are compared.
 """
 
+import array
 import dataclasses
 import functools
 import itertools
@@ -15,6 +16,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import types
 from collections import Counter
 
 import pytest
@@ -40,7 +42,15 @@ from icodes import (
     weight_enumerator,
 )
 from icodes.analysis import is_minimal_exhaustive, is_self_orthogonal
-from icodes.geometry import all_vectors, bit_string, character_sum, gf2_basis, walsh_hadamard
+from icodes.geometry import (
+    ComplexComplement,
+    SimplicialComplex,
+    all_vectors,
+    bit_string,
+    character_sum,
+    gf2_basis,
+    walsh_hadamard,
+)
 from icodes.ring import dot
 
 # Independent mini-ring: symbol tables only, no bit tricks.
@@ -511,8 +521,23 @@ def test_word_wide_encode_equals_per_coordinate_dot():
             assert encode(v, ds).elements() == expected, ds
 
 
-def test_coordinate_words_are_the_pair_bits():
-    for ds in [*defining_sets(3), *generic_sets_with_zero_and_repeats(15)]:
+def test_coordinate_words_are_the_pair_bits(monkeypatch):
+    """Every T1..T5 code up to m = 4 with the GENERIC sets of repeated and
+    zero members, and wider sets with a block of width 0 (T5 with |N| = m:
+    the second block's D2 is empty), an empty first block (T5 with
+    |M| = m), blocks of width 1 (N = {}: D2 is {0}) and a D1 of 127
+    members, so every doubling of the D2 column appends one more copy.
+    The wider sets run again as on a big-endian host, whose array lanes
+    give each member's bytes most significant first."""
+    edges = [
+        spec(Variant.T5, 6, {1, 2}, range(1, 7)),
+        spec(Variant.T5, 6, range(1, 7), {2, 5}),
+        spec(Variant.T2, 7, {1, 2, 3}),
+        spec(Variant.T1, 6, {2, 4, 5}),
+        spec(Variant.T2, 7, (), {3}),
+    ]
+
+    def check(ds):
         assert ds.rows is ds.coordinate_words[0]
         pairs = list(ds.word_pairs())
         for words, part in zip(ds.coordinate_words, (0, 1)):
@@ -520,6 +545,40 @@ def test_coordinate_words_are_the_pair_bits():
                 sum((pair[part] >> i & 1) << j for j, pair in enumerate(pairs))
                 for i in range(ds.m)
             ), ds
+
+    sets = [ds for m in range(1, 5) for ds in defining_sets(m)]
+    for ds in [*sets, *generic_sets_with_zero_and_repeats(15), *map(build_defining_set, edges)]:
+        check(ds)
+
+    class BigEndianLanes(array.array):
+        def tobytes(self):
+            return b"".join(x.to_bytes(self.itemsize, "big") for x in self)
+
+    monkeypatch.setattr(construction, "sys", types.SimpleNamespace(byteorder="big"))
+    monkeypatch.setattr(construction, "array", types.SimpleNamespace(array=BigEndianLanes))
+    for ds in map(build_defining_set, edges):
+        check(ds)
+
+
+def test_each_part_lists_its_members_once_per_code(monkeypatch):
+    """mu, the coordinate words and the spot check's picks read one listing
+    of each part's members: a complement is not streamed once per reader."""
+    listings = []
+    for source in (SimplicialComplex, ComplexComplement):
+
+        def listed(self, words=source.words):
+            listings.append(self)
+            return words(self)
+
+        monkeypatch.setattr(source, "words", listed)
+    for s in (
+        spec(Variant.T2, 9, {1, 2, 3, 4, 7, 8, 9}, {5, 6}),
+        spec(Variant.T5, 7, {1, 2, 3}, {4, 5}),
+    ):
+        listings.clear()
+        ds = build_defining_set(s)
+        enumerate_code(ds)
+        assert len(listings) == sum(len(block) for block in ds.blocks), s
 
 
 @pytest.mark.parametrize(
