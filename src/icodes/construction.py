@@ -10,40 +10,38 @@ GENERIC has one, of its given lists.  Each part has a closed-form size,
 so lengths and empty-set errors build no members, and
 :func:`enumerate_code`, the one place that charges the work budget,
 charges it before anything is read.  A part lists its members once, in
-increasing order, as one cached tuple that mu, the coordinate words and
-the spot check's picks all read.  The blocks and mu take O(2^m) memory
-whatever n is, and the 2m coordinate words, cached once read, add 2m*n
-bits; they are built from each part's per-coordinate 0/1 column texts
-by C-level bytes and int operations, with no Python step per pair.
-The pairs are each block's plain product D1 x D2 in turn (the one
-order, stated in :meth:`DefiningSet.word_pairs`), listed only when that
-method walks them.  The code is the image of the evaluation
-map v -> (v . d)_{d in D} over all messages v in I^m; because b kills
-every product, a codeword depends only on the a-part alpha of the
-message: the code is b times the row space of one m x n
-binary generator matrix (:attr:`DefiningSet.rows`), whose columns are
-the t1 parts.  So the code is fixed by the column multiplicity
+increasing order, as one cached tuple that mu, the rows and the spot
+check's picks all read.  The pairs are each block's plain product
+D1 x D2 in turn (the one order, stated in
+:meth:`DefiningSet.word_pairs`), listed only when that method walks
+them.  The code is the image of the evaluation map
+v -> (v . d)_{d in D} over all messages v in I^m.  Since a^2 = b and
+ab = ba = b^2 = 0, v . d = b*(alpha . t1) for the a-part alpha of v:
+the code is b times the row space of one m x n binary generator matrix
+(:attr:`DefiningSet.rows`), whose columns are the t1 parts, and
+:func:`encode` is that reduced form.  The rows are read off D1 alone,
+each built from a part's per-coordinate 0/1 column texts by C-level
+bytes and int operations, with no Python step per pair; the blocks and
+mu take O(2^m) memory whatever n is, and the rows, cached once read,
+add m*n bits.  The code is fixed by the column multiplicity
 mu(x) = #{d : t1(d) = x} (:attr:`DefiningSet.mu`), and the Lee weight of
 alpha's codeword is the character sum n - mu_hat(alpha):
 :attr:`DefiningSet.lee_weights` holds every weight from one
 Walsh-Hadamard transform of mu, which :func:`enumerate_code` and the
-minimality certificate share.  Both mu and the coordinate words are
-read off the blocks' member tuples, and the rows are the s-half of the
-coordinate words.  A :class:`CodeTable` is a binary linear code: its
-generator rows, reduced once to the canonical reduced echelon basis, with its weight
-distribution and kernel size; its codewords stream from the basis as
-ints in increasing order.  :func:`enumerate_code` returns the table of
-c, and :func:`gray_image` that of (c, c), which every Lee fact is read off.
-:func:`encode` takes every coordinate at once, moving n-bit element
-masks through the ring's tables.  :func:`enumerate_code` always
-spot-checks the rows and the transform against the elements' own ring
-arithmetic on sampled messages, summing every coordinate of a code with
-n <= 256, else 256 seeded ones, through a per-message table of 4m
-products and 16m sums (:func:`_sum_table`; :func:`_spot_check` states
-the chain).  Each law is checked with explicit raises that survive
-``python -O``: the laws of the weight data and the rank when a table is
-constructed, so no table exists unless they hold, and the laws that read
-codewords as codewords are streamed.
+minimality certificate share.  A :class:`CodeTable` is a binary linear
+code: its generator rows, reduced once to the canonical reduced echelon
+basis, with its weight distribution and kernel size; its codewords
+stream from the basis as ints in increasing order.
+:func:`enumerate_code` returns the table of c, and :func:`gray_image`
+that of (c, c), which every Lee fact is read off.
+:func:`enumerate_code` always spot-checks the rows and the transform
+against the elements' own ring arithmetic on sampled messages, summing
+every coordinate of a code with n <= 256, else 256 seeded ones, through
+a per-message table of 4m products and 16m sums (:func:`_sum_table`;
+:func:`_spot_check` states the chain).  Each law is checked with
+explicit raises that survive ``python -O``: the laws of the weight data
+and the rank when a table is constructed, so no table exists unless
+they hold, and the laws that read codewords as codewords are streamed.
 """
 
 from __future__ import annotations
@@ -69,13 +67,7 @@ from .geometry import (
     gf2_basis,
     walsh_hadamard,
 )
-from .ring import (
-    ELEMENTS,
-    SYMBOLS,
-    RingElement,
-    addition_table,
-    multiplication_table,
-)
+from .ring import ELEMENTS, SYMBOLS, RingElement
 
 #: Default cap on elementary parity operations for one code enumeration.
 DEFAULT_WORK_BUDGET = 1 << 32
@@ -89,21 +81,6 @@ _S_BIT_OF_SYMBOL = str.maketrans(_SYMBOL_TEXT, "0101")
 _T_BIT_OF_SYMBOL = str.maketrans(_SYMBOL_TEXT, "0011")
 #: Most coordinates per code that the agreement check sums through the ring.
 ORACLE_COORDINATES = 256
-
-
-def _ring_steps() -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """For each x, every (s, y, s + x*y), read from the ring's tables with
-    each element as its index in ELEMENTS: a running sum s at a coordinate
-    where d is y becomes s + x*y.  Empty when x*y leaves every sum as it is."""
-    times, plus, index = multiplication_table(), addition_table(), ELEMENTS.index
-    out = []
-    for x in range(4):
-        steps = [(s, y, index(plus[s][index(times[x][y])])) for s in range(4) for y in range(4)]
-        out.append(tuple(steps) if any(s != after for s, _y, after in steps) else ())
-    return tuple(out)
-
-
-_STEPS = _ring_steps()
 
 
 class Variant(str, Enum):
@@ -121,7 +98,7 @@ class Variant(str, Enum):
 class RingVector:
     """A vector a*alpha + b*beta in I^m, stored as two bit words.
 
-    Also used for the ring codewords :func:`encode` evaluates, whose length
+    Also used for the ring codewords :func:`encode` returns, whose length
     may exceed the ambient-dimension cap of :class:`BitVector`; the words
     are plain ints for that reason.
     """
@@ -222,10 +199,10 @@ class DefiningSet:
 
     Each pair (t1, t2) of a block stands for a*t1 + b*t2.  A part lists
     its members in increasing order of the bit word, so the set holds
-    nothing of size n until its coordinate words are read: its length is
-    the closed form, and mu and the coordinate words are read off the
-    blocks.  The pairs, in the order :meth:`word_pairs` states, are
-    listed only when that method walks them.
+    nothing of size n until its rows are read: its length is the closed
+    form, and mu and the rows are read off the blocks.  The pairs, in the
+    order :meth:`word_pairs` states, are listed only when that method
+    walks them.
     """
 
     m: int
@@ -233,46 +210,32 @@ class DefiningSet:
 
     @cached_property
     def rows(self) -> tuple[int, ...]:
-        """The m rows of the binary generator matrix G, as n-bit words:
-        the s-half of :attr:`coordinate_words`, so bit j of row i is
-        coordinate i+1 of t1 in pair j.  Since ab = b^2 = 0, the codeword
-        of a message with a-part alpha is b times the XOR of the rows that
-        alpha selects."""
-        return self.coordinate_words[0]
+        """The m rows of the binary generator matrix G, as n-bit words: bit
+        j of row i is bit i of t1 in pair j.  Since a^2 = b and
+        ab = ba = b^2 = 0, the codeword of a message with a-part alpha is b
+        times the XOR of the rows that alpha selects (:func:`encode`).
 
-    @cached_property
-    def coordinate_words(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The pairs' coordinates as 2m n-bit words: (s_1..s_m, t_1..t_m).
-
-        Bit j of s_i is bit i-1 of t1 in pair j, and bit j of t_i the same
-        bit of t2, so coordinate i of pair j is a*s + b*t for those bits.
-        Each part's members are transposed once into m per-coordinate 0/1
-        column texts (:func:`_columns`).  A block D1 x D2 is a plain
-        product (:meth:`word_pairs`), so each member of D1 fills len(D2)
-        consecutive bits of s_i with its bit: the D1 column spread to
-        stride len(D2), times 2^len(D2) - 1.  t_i repeats the D2 column
-        len(D1) times (:func:`_repeated`).  Each block's words are shifted
-        past the blocks before it.
+        Read off D1 alone: each D1's members are transposed once into m
+        per-coordinate 0/1 column texts (:func:`_columns`).  A block
+        D1 x D2 is a plain product (:meth:`word_pairs`), so each member of
+        D1 fills len(D2) consecutive bits of row i with its bit i: the D1
+        column spread to stride len(D2), times 2^len(D2) - 1.  Each block's
+        bits are shifted past the blocks before it.
         """
         m = self.m
-        layout = [
-            (_columns(d1.members, m), _columns(d2.members, m), len(d2), len(d1))
-            for d1, d2 in self.blocks
-        ]
-        s_words, t_words = [], []
+        layout = [(_columns(d1.members, m), len(d2), len(d1)) for d1, d2 in self.blocks]
+        rows = []
         for i in range(m):
-            s = t = offset = 0
-            for d1_columns, d2_columns, width, count in layout:
+            row = offset = 0
+            for columns, width, count in layout:
                 if width and count:  # a block with no pairs adds no bits
                     spread = bytearray(b"0") * (count * width)
-                    spread[width - 1 :: width] = d1_columns[i]
+                    spread[width - 1 :: width] = columns[i]
                     x = int(spread, 2)  # bit k * width is bit i of member k of D1
-                    s |= ((x << width) - x) << offset  # x * (2^width - 1)
-                    t |= _repeated(int(d2_columns[i], 2), width, count) << offset
+                    row |= ((x << width) - x) << offset  # x * (2^width - 1)
                     offset += count * width
-            s_words.append(s)
-            t_words.append(t)
-        return tuple(s_words), tuple(t_words)
+            rows.append(row)
+        return tuple(rows)
 
     @cached_property
     def mu(self) -> list[int]:
@@ -324,8 +287,8 @@ class _Part:
 
     len() is the closed form 2^|S| (2^m - 2^|S| for the complement), so
     sizing a block builds no members.  :attr:`members` lists them once per
-    part, in increasing integer order, and mu, the coordinate words and
-    the spot check's picks all read that one tuple; a complement is
+    part, in increasing integer order, and mu, the rows and the spot
+    check's picks all read that one tuple; a complement is
     :meth:`geometry.ComplexComplement.words`, F_2^m filtered by a set of
     Delta_S at C speed.  All of F_2^m is Delta_[m].
     """
@@ -378,19 +341,6 @@ def _columns(members: Sequence[int], m: int) -> list[bytes]:
     return [text[width - 1 - i :: width] for i in range(m)]
 
 
-def _repeated(word: int, width: int, count: int) -> int:
-    """count copies of a width-bit word side by side, built by doubling:
-    O(log count) shifts and ORs of at most count * width bits."""
-    out, copies = word, 1
-    for bit in format(count, "b")[1:]:
-        out |= out << copies * width
-        copies *= 2
-        if bit == "1":
-            out = out << width | word
-            copies += 1
-    return out
-
-
 #: Why a variant's defining set can be empty; T1 and GENERIC never are.
 _EMPTY_REASONS = {
     Variant.T2: "complement of the full complex is empty (|M| = m)",
@@ -434,8 +384,8 @@ def build_defining_set(spec: DefiningSetSpec) -> DefiningSet:
     lists its two disjoint blocks in turn (a-part outside the M-complex
     with free b-part, then a-part inside with b-part outside the
     N-complex).  Building it lists no member and no pair is stored: the
-    set takes O(2^m) memory once mu is read, and 2m*n bits more once the
-    coordinate words (or the rows, their s-half) are read.
+    set takes O(2^m) memory once mu is read, and m*n bits more once the
+    rows are read.
     """
     ds = DefiningSet(spec.m, _blocks(spec))
     if not len(ds):
@@ -444,29 +394,18 @@ def build_defining_set(spec: DefiningSetSpec) -> DefiningSet:
 
 
 def encode(v: RingVector, ds: DefiningSet) -> RingVector:
-    """Evaluate the codeword (v . d)_{d in D} on all n coordinates at once.
+    """The codeword (v . d)_{d in D} of v on all n coordinates.
 
-    For each coordinate i, the n elements d_i are split by
-    :attr:`DefiningSet.coordinate_words` into four n-bit masks (where d_i
-    is 0, a, b, c); the product v_i * d_i and the running sum then move
-    whole masks as the ring's multiplication and addition tables say, so
-    a message costs O(m) big-int operations.  Reads the coordinate words
-    only, never the cached :attr:`DefiningSet.rows`, their s-half.
+    For v = a*alpha + b*beta and d = a*t1 + b*t2, each product v_i * d_i
+    is b*(alpha_i * t1_i), since a^2 = b and ab = ba = b^2 = 0; so the
+    codeword is the reduced form b*(alpha . t1): b times the XOR of the
+    :attr:`DefiningSet.rows` that alpha selects, beta and the t2 parts
+    playing no part.  :func:`_spot_check` checks it against the elements'
+    own ring arithmetic.
     """
     if v.m != ds.m:
         raise DimensionMismatchError(f"message length {v.m} != ambient {ds.m}")
-    n = len(ds)
-    full = (1 << n) - 1
-    sums = [full, 0, 0, 0]  # where the running sum is 0, a, b, c: 0 everywhere
-    for i, (s, t) in enumerate(zip(*ds.coordinate_words)):
-        steps = _STEPS[v.s_word >> i & 1 | (v.t_word >> i & 1) << 1]
-        if steps:
-            masks = (full ^ (s | t), s & ~t, t & ~s, s & t)  # where d_i is 0, a, b, c
-            total = [0, 0, 0, 0]
-            for before, y, after in steps:
-                total[after] |= sums[before] & masks[y]
-            sums = total
-    return RingVector(n, sums[1] | sums[3], sums[2] | sums[3])
+    return RingVector(len(ds), 0, _combine(ds.rows, v.s_word))
 
 
 @dataclass(frozen=True)
@@ -678,26 +617,26 @@ def _spot_check(ds: DefiningSet) -> None:
     """Check the rows and the transform of ds on sampled messages.
 
     The messages are four corners plus 16 seeded random ones for m <= 2
-    (so every message), else plus 8.  Each is checked along a chain.  The
+    (so every message), else plus 8.  Each is checked by two links.  The
     oracle sums each picked coordinate's m products v_i * d_i through the
     elements' own * and + (:func:`_oracle_pairs` picks them: every
     coordinate when n <= 256, else 256 seeded ones), by walking the
     message's sum table (:func:`_sum_table`: 4m products, 16m sums) with
     d's indices.  The sums, as one list, must be the elements at those
-    coordinates of the word-wide :func:`encode` value, read from its two
-    words' bytes.  The message's elements are read once per message and
-    each picked pair's once per code, from the blocks: the oracle reads no
-    coordinate word, row or step table.  That codeword must be b times the
-    XOR of the rows alpha selects, and twice that word's weight the
-    transform's.  The rows share their words with :func:`encode`, so the
-    links that see a fault in those words are the first and the last,
-    which walk the blocks apart from them.  The tests keep the ring's
-    :func:`~icodes.ring.dot` as the per-coordinate reference, and the full
-    4^m message walk, which reads no row, as the reference for every code
-    up to m = 4.
+    coordinates of the :func:`encode` codeword, b times the XOR of the
+    rows alpha selects, read from its two words' bytes.  The message's
+    elements are read once per message and each picked pair's once per
+    code, from the blocks: the oracle reads no row.  Then twice that
+    codeword's weight must be the transform's weight of alpha, which
+    comes from mu, not from the rows.  The oracle sees a fault in the
+    rows at the coordinates it picks; at the others of a code with
+    n > 256, the weight link is the one that sees it.  The tests keep the
+    ring's :func:`~icodes.ring.dot` as the per-coordinate reference, and
+    the full 4^m message walk in ring arithmetic, which reads no row, as
+    the reference for every code up to m = 4.
     """
     m, n = ds.m, len(ds)
-    weights, rows = ds.lee_weights, ds.rows
+    weights = ds.lee_weights
     seed = m * 0x9E3779B1 ^ n
     oracle = _oracle_pairs(ds, seed)
     digits = [d for _j, d in oracle]
@@ -712,13 +651,8 @@ def _spot_check(ds: DefiningSet) -> None:
             sums == [ELEMENTS[s[k] >> b & 1 | (t[k] >> b & 1) << 1] for k, b in places],
             "per-coordinate ring arithmetic disagrees with the word-wide evaluation",
         )
-        word = _combine(rows, v.s_word)
         _check(
-            codeword == RingVector(n, 0, word),
-            "ring-arithmetic evaluation disagrees with the reduced form b*(alpha.t1)",
-        )
-        _check(
-            2 * word.bit_count() == weights[v.s_word],
+            2 * codeword.t_word.bit_count() == weights[v.s_word],
             "the rows disagree with the Walsh-Hadamard weight n - mu_hat(alpha)",
         )
 

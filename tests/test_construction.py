@@ -51,7 +51,7 @@ from icodes.geometry import (
     gf2_basis,
     walsh_hadamard,
 )
-from icodes.ring import dot
+from icodes.ring import addition_table, dot, multiplication_table
 
 # Independent mini-ring: symbol tables only, no bit tricks.
 ADD = {
@@ -101,8 +101,55 @@ def gray_bits(v):
     return v.t_word | (v.s_word ^ v.t_word) << v.m
 
 
+def ring_steps():
+    """For each x, every (s, y, s + x*y), read from the ring's tables with
+    each element as its index in ELEMENTS: a running sum s at a coordinate
+    where d is y becomes s + x*y.  Empty when x*y leaves every sum as it is."""
+    times, plus, index = multiplication_table(), addition_table(), ELEMENTS.index
+    out = []
+    for x in range(4):
+        steps = [(s, y, index(plus[s][index(times[x][y])])) for s in range(4) for y in range(4)]
+        out.append(tuple(steps) if any(s != after for s, _y, after in steps) else ())
+    return tuple(out)
+
+
+RING_STEPS = ring_steps()
+
+
+def element_masks(ds):
+    """For each coordinate i, four n-bit masks of the pairs: bit j of mask e
+    is set where coordinate i of pair j is ELEMENTS[e].  Built once per
+    code, from the pairs alone."""
+    pairs = list(ds.word_pairs())
+    out = []
+    for i in range(ds.m):
+        masks = [0, 0, 0, 0]
+        for j, (t1, t2) in enumerate(pairs):
+            masks[t1 >> i & 1 | (t2 >> i & 1) << 1] |= 1 << j
+        out.append(tuple(masks))
+    return out
+
+
+def step_encode(v, masks, n):
+    """Reference encoder: (v . d)_{d in D} on all n coordinates at once, in
+    the ring's own arithmetic, reading no generator row.  For each
+    coordinate i, the product v_i * d_i and the running sum move whole
+    masks (:func:`element_masks`) as the ring's multiplication and
+    addition tables say (RING_STEPS)."""
+    sums = [(1 << n) - 1, 0, 0, 0]  # where the running sum is 0, a, b, c: 0 everywhere
+    for i, coordinate in enumerate(masks):
+        steps = RING_STEPS[v.s_word >> i & 1 | (v.t_word >> i & 1) << 1]
+        if steps:
+            total = [0, 0, 0, 0]
+            for before, y, after in steps:
+                total[after] |= sums[before] & coordinate[y]
+            sums = total
+    return RingVector(n, sums[1] | sums[3], sums[2] | sums[3])
+
+
 def plain_walk(ds):
-    """Reference: the full 4^m message walk, each message through encode.
+    """Reference: the full 4^m message walk in ring arithmetic, each message
+    through step_encode over the code's element masks, built once.
 
     Reads no generator row.  Every codeword must be b*c, its a-part zero;
     the distinct words c are the rows of the table of c it returns, so a
@@ -111,13 +158,14 @@ def plain_walk(ds):
     law).  Also returns the Lee profile, each message's codeword weighed
     by lee_weight.
     """
-    m = ds.m
+    m, n = ds.m, len(ds)
+    masks = element_masks(ds)
     codeword_hits = Counter()
     profile = Counter()
     lee_profile = Counter()
     for s_word in range(1 << m):
         for t_word in range(1 << m):
-            cw = encode(RingVector(m, s_word, t_word), ds)
+            cw = step_encode(RingVector(m, s_word, t_word), masks, n)
             assert cw.s_word == 0, "every codeword must be b times a binary word"
             codeword_hits[cw.t_word] += 1
             profile[cw.t_word.bit_count()] += 1
@@ -125,7 +173,7 @@ def plain_walk(ds):
     per_codeword = set(codeword_hits.values())
     assert len(per_codeword) == 1, "codeword preimage counts must be uniform"
     table = CodeTable(
-        len(ds),
+        n,
         tuple(codeword_hits),
         per_codeword.pop(),
         dict(Counter(word.bit_count() for word in codeword_hits)),
@@ -509,26 +557,29 @@ def generic_sets_with_zero_and_repeats(seed):
 def test_word_wide_encode_equals_per_coordinate_dot():
     """Every message of every T1..T5 code up to m = 3, and of GENERIC sets
     with repeated and zero members, against the ring's dot one coordinate
-    at a time, reading each message's and each pair's elements once."""
+    at a time, reading each message's and each pair's elements once: both
+    the reduced form encode and the tests' ring-arithmetic step_encode."""
     sets = [ds for m in range(1, 4) for ds in defining_sets(m)]
     for ds in [*sets, *generic_sets_with_zero_and_repeats(14)]:
-        m = ds.m
+        m, n = ds.m, len(ds)
         points = [RingVector(m, t1, t2).elements() for t1, t2 in ds.word_pairs()]
+        masks = element_masks(ds)
         for s_word, t_word in itertools.product(range(1 << m), repeat=2):
             v = RingVector(m, s_word, t_word)
             message = v.elements()
             expected = tuple(dot(message, d) for d in points)
             assert encode(v, ds).elements() == expected, ds
+            assert step_encode(v, masks, n).elements() == expected, ds
 
 
 def test_coordinate_words_are_the_pair_bits(monkeypatch):
-    """Every T1..T5 code up to m = 4 with the GENERIC sets of repeated and
-    zero members, and wider sets with a block of width 0 (T5 with |N| = m:
-    the second block's D2 is empty), an empty first block (T5 with
-    |M| = m), blocks of width 1 (N = {}: D2 is {0}) and a D1 of 127
-    members, so every doubling of the D2 column appends one more copy.
-    The wider sets run again as on a big-endian host, whose array lanes
-    give each member's bytes most significant first."""
+    """The rows are the pairs' t1 bits (bit j of row i is bit i of t1 in
+    pair j) on every T1..T5 code up to m = 4 with the GENERIC sets of
+    repeated and zero members, and on wider sets with a block of width 0
+    (T5 with |N| = m: the second block's D2 is empty), an empty first
+    block (T5 with |M| = m), blocks of width 1 (N = {}: D2 is {0}) and a
+    D1 of 127 members.  The wider sets run again as on a big-endian host,
+    whose array lanes give each member's bytes most significant first."""
     edges = [
         spec(Variant.T5, 6, {1, 2}, range(1, 7)),
         spec(Variant.T5, 6, range(1, 7), {2, 5}),
@@ -538,13 +589,10 @@ def test_coordinate_words_are_the_pair_bits(monkeypatch):
     ]
 
     def check(ds):
-        assert ds.rows is ds.coordinate_words[0]
         pairs = list(ds.word_pairs())
-        for words, part in zip(ds.coordinate_words, (0, 1)):
-            assert words == tuple(
-                sum((pair[part] >> i & 1) << j for j, pair in enumerate(pairs))
-                for i in range(ds.m)
-            ), ds
+        assert ds.rows == tuple(
+            sum((t1 >> i & 1) << j for j, (t1, _t2) in enumerate(pairs)) for i in range(ds.m)
+        ), ds
 
     sets = [ds for m in range(1, 5) for ds in defining_sets(m)]
     for ds in [*sets, *generic_sets_with_zero_and_repeats(15), *map(build_defining_set, edges)]:
@@ -561,8 +609,8 @@ def test_coordinate_words_are_the_pair_bits(monkeypatch):
 
 
 def test_each_part_lists_its_members_once_per_code(monkeypatch):
-    """mu, the coordinate words and the spot check's picks read one listing
-    of each part's members: a complement is not streamed once per reader."""
+    """mu, the rows and the spot check's picks read one listing of each
+    part's members: a complement is not streamed once per reader."""
     listings = []
     for source in (SimplicialComplex, ComplexComplement):
 
@@ -592,10 +640,9 @@ def test_each_part_lists_its_members_once_per_code(monkeypatch):
 )
 def test_tampered_coordinate_word_fails_the_oracle(s, flip):
     ds = build_defining_set(s)
-    s_words, t_words = ds.coordinate_words
-    tampered = (s_words[0] ^ flip(len(ds)), *s_words[1:])
-    object.__setattr__(ds, "coordinate_words", (tampered, t_words))
-    # the oracle runs first, before the rows or the transform are compared
+    rows = ds.rows
+    object.__setattr__(ds, "rows", (rows[0] ^ flip(len(ds)), *rows[1:]))
+    # the oracle runs first, before the transform is compared
     with pytest.raises(AssertionError, match="per-coordinate ring arithmetic"):
         enumerate_code(ds)
 
@@ -604,8 +651,8 @@ def test_coordinate_word_oracle_survives_optimized_mode():
     script = (
         "from icodes.construction import *\n"
         "ds = build_defining_set(DefiningSetSpec(Variant.T2, 3, {1}, {2}))\n"
-        "s_words, t_words = ds.coordinate_words\n"
-        "object.__setattr__(ds, 'coordinate_words', ((s_words[0] ^ 1, *s_words[1:]), t_words))\n"
+        "rows = ds.rows\n"
+        "object.__setattr__(ds, 'rows', (rows[0] ^ 1, *rows[1:]))\n"
         "enumerate_code(ds)\n"
     )
     src = pathlib.Path(construction.__file__).parents[1]
@@ -688,8 +735,8 @@ SAMPLED_SPEC = spec(Variant.T2, 9, (), {1})
 def test_patched_ring_arithmetic_fails_the_oracle(monkeypatch, name, wrong):
     # the oracle calls the ring's own operations as it runs, to build each
     # message's sum table (at every coordinate of n = 12, at 256 of
-    # n = 1022), so a change made after import reaches it (the word-wide
-    # steps were read from the tables at import and do not see it)
+    # n = 1022), so a change made after import reaches it (encode, the
+    # reduced form, calls neither operation and does not see it)
     sets = [build_defining_set(s) for s in (spec(Variant.T2, 3, {1}, {2}), SAMPLED_SPEC)]
     monkeypatch.setattr(RingElement, name, wrong)
     for ds in sets:
@@ -1017,8 +1064,24 @@ def test_tampered_generator_rows_fail_the_ring_check():
     rows = list(ds.rows)
     rows[1] ^= 1 << 3
     object.__setattr__(ds, "rows", tuple(rows))
-    assert encode(v, ds) == codeword  # encode reads no row
-    with pytest.raises(AssertionError, match="ring-arithmetic"):
+    assert encode(v, ds).t_word == codeword.t_word ^ 1 << 3  # encode reads the rows
+    with pytest.raises(AssertionError, match="per-coordinate ring arithmetic"):
+        enumerate_code(ds)
+
+
+def test_unsampled_row_fault_fails_the_weight_check():
+    # n = 1022 > 256: the oracle sums 256 seeded coordinates, so a row bit
+    # flipped at another is seen by the transform weight alone
+    ds = build_defining_set(SAMPLED_SPEC)
+    n = len(ds)
+    picked = {j for j, _d in construction._oracle_pairs(ds, ds.m * 0x9E3779B1 ^ n)}
+    assert n > construction.ORACLE_COORDINATES == len(picked)
+    j = next(j for j in range(n) if j not in picked)
+    object.__setattr__(ds, "rows", (ds.rows[0] ^ 1 << j, *ds.rows[1:]))
+    with pytest.raises(
+        AssertionError,
+        match="the rows disagree with the Walsh-Hadamard weight n - mu_hat\\(alpha\\)",
+    ):
         enumerate_code(ds)
 
 
