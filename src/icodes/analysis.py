@@ -9,11 +9,11 @@ verdict, the closed-form optimality predictor for T2 parameters, and the
 replicated-simplex structure check for 1-weight codes), and ``analyze``,
 the one per-code entry point that builds, enumerates, certifies and compares
 each closed-form fact once.  ``analyze`` reads every Lee fact off one
-table, the Gray image (c, c) of the enumerated binary code c, and runs
-the certificates on it.  They read no codeword list: they work on the
-image's :attr:`~icodes.construction.CodeTable.rows`, the canonical
-reduced echelon basis every table is reduced to once, on construction
-(for an enumerated code, from its m generator rows).
+table, the enumerated binary code c, whose Gray image (c, c) has c's
+points, each taken twice, and runs the certificates on it.  They read no
+codeword list: they work on c's :attr:`~icodes.construction.CodeTable.rows`,
+the canonical reduced echelon basis every table is reduced to once, on
+construction (for an enumerated code, from its m generator rows).
 Minimality comes first from the weight function W(alpha) = n -
 mu_hat(alpha) that the defining set holds: a code whose weights have no
 triple a + b = c (:func:`has_weight_triple`) is minimal without touching
@@ -22,9 +22,10 @@ the points of the code (:func:`is_minimal_exhaustive`, the
 cutting-blocking-set criterion), is the independent slow path: in
 ``analyze`` it decides every code with a weight triple and supplies the
 witness of every non-minimal one, the only pair ever built as words, and
-cross-checks a triple-free code when the image has rank at most
-RANK_SCAN_CROSS_CHECK_K.  Self-orthogonality
-pairs the basis words, and the simplex check counts the columns.
+cross-checks a triple-free code when c has rank at most
+RANK_SCAN_CROSS_CHECK_K.  The simplex check counts the columns.
+Self-orthogonality is structural, (c, c) . (c', c') = 2 (c . c') = 0:
+:func:`is_self_orthogonal` is the tests' reference.
 ``analyze`` judges each certificate against its closed-form expectation
 where it computes it.  ``verify_against_prediction`` is ``analyze``'s weight-profile
 comparison: ``analyze`` restricted to the ``verify`` analysis, projected
@@ -48,11 +49,9 @@ from .construction import (
     Variant,
     _check,
     _combine,
-    binary_params,
+    _lee_facts,
     build_defining_set,
     enumerate_code,
-    gray_image,
-    weight_enumerator,
 )
 from .errors import EmptyDefiningSetError
 from .geometry import bit_string
@@ -257,8 +256,8 @@ class MinimalityFinding:
 
 #: Fixes the order in which the minimality test scans the points of a code.
 _POINT_ORDER_SEED = 0x1C0DE5
-#: Largest image rank k at which the rank scan cross-checks a code that the
-#: weights alone call minimal (it decides every code with a weight triple).
+#: Largest rank k of c, which its image shares, at which the rank scan cross-checks
+#: a code the weights alone call minimal (it decides every code with a weight triple).
 RANK_SCAN_CROSS_CHECK_K = 8
 
 
@@ -284,7 +283,7 @@ def is_minimal_exhaustive(table: CodeTable) -> MinimalityFinding:
     The slow path beside :func:`has_weight_triple`, sharing nothing with
     it: ``analyze`` runs it on every code whose weights have a triple,
     which it decides and whose witness it supplies, and cross-checks a
-    triple-free code with it when the image has rank at most
+    triple-free code with it when c has rank at most
     RANK_SCAN_CROSS_CHECK_K.  Decided on the points of the code,
     the distinct nonzero columns S of its rows (cutting blocking sets:
     Alfarano, Borello and Neri, Adv. Math. Commun. 16 (2022); Tang, Qiu,
@@ -615,28 +614,20 @@ def analyze(
             prediction_diffs=tuple(diffs),
         )
 
-    # the Gray image (c, c) carries every Lee fact: its weights are the Lee weights
-    image = gray_image(enumerate_code(ds, work_budget=work_budget))
-    fields: dict = dict(
-        length=len(ds),
-        code_size=len(image),
-        kernel_size=image.kernel_size,
-        lee_weight_distribution=dict(image.weight_distribution),
-        message_profile=dict(image.message_profile),
-        lee_enumerator=weight_enumerator(image),
-        num_weights=image.num_weights,
-    )
+    # the table of c carries every Lee fact, and the certificates read its rows
+    table = enumerate_code(ds, work_budget=work_budget)
+    fields: dict = dict(length=len(ds), **_lee_facts(table))
+    params = fields.pop("params")
     prediction_match, diffs = _expectation_diffs(pred, fields, requested)
     # The certificates are gated only against a nonempty prediction.
     claims = None if pred is None or pred.empty else pred
 
-    zero_code = image.num_weights == 0
+    zero_code = table.num_weights == 0
     if zero_code:
         fields["degenerate"] = True
         fields["degenerate_reason"] = "zero code (k = 0, distance undefined)"
 
     if "gray" in requested:
-        params = binary_params(image)
         fields["params"] = params
         if claims:
             expected = [claims.binary_n, claims.binary_k, claims.binary_d]
@@ -644,39 +635,27 @@ def analyze(
                 diffs.append(f"binary params {params} != predicted {expected}")
 
     if "self-orthogonal" in requested:
-        orth = is_self_orthogonal(image)
-        div4 = weights_divisible_by_4(image)
-        fields["self_orthogonal"] = "yes-direct" if orth.self_orthogonal else "no"
-        fields["weights_div4"] = div4
-        if orth.witness is not None:
-            fields["self_orthogonal_witness"] = tuple(
-                bit_string(w, image.length) for w in orth.witness
-            )
-        if div4 and not orth.self_orthogonal:
-            raise AssertionError(
-                "weights divisible by 4 must force self-orthogonality"
-            )
-        if claims and claims.size_m + claims.size_n >= 2 and not orth.self_orthogonal:
-            diffs.append("expected self-orthogonal (|M|+|N| >= 2)")
+        # every image is (c, c), and (c, c) . (c', c') = 2 (c . c') = 0 over F_2
+        fields["self_orthogonal"] = "yes-direct"
+        fields["weights_div4"] = all(w % 4 == 0 for w in fields["lee_weight_distribution"])
 
     if not zero_code and "minimal" in requested:
-        ab = ab_condition(image)
+        ab = ab_condition(table)
         fields["ab_ratio"] = str(ab.ratio)
         fields["ab_holds"] = ab.holds
         triple = has_weight_triple(ds.lee_weights)
-        if not triple and len(image.rows) > RANK_SCAN_CROSS_CHECK_K:
+        if not triple and len(table.rows) > RANK_SCAN_CROSS_CHECK_K:
             finding = MinimalityFinding(True, None)
         else:
-            finding = is_minimal_exhaustive(image)
+            finding = is_minimal_exhaustive(table)
             _check(
                 triple or finding.minimal,
                 "the weight function and the rank scan disagree on minimality",
             )
         fields["minimal"] = "yes-exhaustive" if finding.minimal else "no"
         if finding.witness is not None:
-            fields["minimal_witness"] = tuple(
-                bit_string(w, image.length) for w in finding.witness
-            )
+            # the image of c's word u is u | u << n, whose text is u's twice
+            fields["minimal_witness"] = tuple(bit_string(w, len(ds)) * 2 for w in finding.witness)
         if ab.holds and not finding.minimal:
             raise AssertionError(
                 "weight-ratio condition must force exhaustive minimality"
@@ -710,9 +689,11 @@ def analyze(
                 )
 
     if not zero_code and "simplex" in requested:
-        if image.num_weights == 1:
-            finding = simplex_structure(image)
-            fields["simplex"] = finding
+        if table.num_weights == 1:
+            finding = simplex_structure(table)
+            # the image's columns are c's, each taken twice
+            r = finding.replication
+            fields["simplex"] = SimplexFinding(finding.kind, r and 2 * r, 2 * finding.zero_columns)
             if finding.kind != "replicated-simplex":
                 diffs.append("1-weight image failed the replicated-simplex check")
         else:

@@ -37,11 +37,9 @@ from .construction import (
     CodeTable,
     DefiningSetSpec,
     Variant,
-    binary_params,
+    _lee_facts,
     build_defining_set,
     enumerate_code,
-    gray_image,
-    weight_enumerator,
 )
 from .errors import BudgetExceededError, EmptyDefiningSetError
 from .geometry import MAX_DIMENSION, bit_string
@@ -342,10 +340,10 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
         ds = build_defining_set(spec)
     except EmptyDefiningSetError as exc:
         raise UsageError(f"empty defining set: {exc}") from None
-    # the binary code c renders both dumps; its Gray image (c, c) carries every Lee fact
+    # the binary code c renders both dumps and carries every Lee fact
     table = enumerate_code(ds, work_budget=budget)
-    image = gray_image(table)
-    params = binary_params(image)
+    lee = _lee_facts(table)
+    params = lee["params"]
 
     if args.format == "json":
         doc = {
@@ -356,11 +354,11 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
             "M": sorted(spec.M),
             "N": sorted(spec.N),
             "length": len(ds),
-            "code_size": len(image),
-            "kernel_size": image.kernel_size,
-            "lee_weight_distribution": _str_keys(image.weight_distribution),
-            "message_profile": _str_keys(image.message_profile),
-            "lee_enumerator": weight_enumerator(image),
+            "code_size": lee["code_size"],
+            "kernel_size": lee["kernel_size"],
+            "lee_weight_distribution": _str_keys(lee["lee_weight_distribution"]),
+            "message_profile": _str_keys(lee["message_profile"]),
+            "lee_enumerator": lee["lee_enumerator"],
             "gray_params": params.as_list(),
             "degenerate": params.degenerate,
         }
@@ -373,8 +371,8 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
         subsets = f"M={{{','.join(map(str, sorted(spec.M)))}}} N={{{','.join(map(str, sorted(spec.N)))}}}"
         print(f"variant {spec.variant.value}  m={spec.m}  {subsets}", file=out)
         print(f"defining set length: {len(ds)}", file=out)
-        print(f"code size: {len(image)}  kernel size: {image.kernel_size}", file=out)
-        print(f"lee enumerator: {weight_enumerator(image)}", file=out)
+        print(f"code size: {lee['code_size']}  kernel size: {lee['kernel_size']}", file=out)
+        print(f"lee enumerator: {lee['lee_enumerator']}", file=out)
         print(f"gray image: {params}", file=out)
         if params.degenerate:
             print("degenerate: zero code (k = 0, distance undefined)", file=out)

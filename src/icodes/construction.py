@@ -32,8 +32,9 @@ minimality certificate share.  A :class:`CodeTable` is a binary linear
 code: its generator rows, reduced once to the canonical reduced echelon
 basis, with its weight distribution and kernel size; its codewords
 stream from the basis as ints in increasing order.
-:func:`enumerate_code` returns the table of c, and :func:`gray_image`
-that of (c, c), which every Lee fact is read off.
+:func:`enumerate_code` returns the table of c, which every Lee fact is
+read off (:func:`_lee_facts`); :func:`gray_image` builds (c, c) for the
+library and the tests only.
 :func:`enumerate_code` always spot-checks the rows and the transform
 against the elements' own ring arithmetic on sampled messages, summing
 every coordinate of a code with n <= 256, else 256 seeded ones, through
@@ -51,6 +52,7 @@ import functools
 import itertools
 import operator
 import random
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -707,8 +709,9 @@ def gray_image(table: CodeTable) -> CodeTable:
     (t-part low, (s+t)-part high).  The map is an isometry, linear on
     these words, so the image is the table of the rows r | r << n, in the
     same order and with the same kernel, weighing each of c's weights
-    doubled: every Lee fact is read off it.  Its weight law, checked on
-    construction, refuses weights that were not doubled.
+    doubled.  Its weight law, checked on construction, refuses weights
+    that were not doubled.  The library's view and the tests' reference:
+    no command builds it (:func:`_lee_facts` reads its facts off c).
     """
     n = table.length
     return CodeTable(
@@ -761,3 +764,20 @@ def weight_enumerator(table: CodeTable) -> str:
             term += f"Y^{w}"
         parts.append(term or "1")
     return " + ".join(parts)
+
+
+def _lee_facts(table: CodeTable) -> dict:
+    """Every Lee fact of the ring code b*C off the table of c, keyed by the
+    report's field names: the Gray image (c, c) has c's size, kernel and
+    rank, and c's length and weights doubled, so no 2n-bit word is built."""
+    d = table.min_nonzero_weight()
+    return dict(
+        code_size=len(table),
+        kernel_size=table.kernel_size,
+        lee_weight_distribution={2 * w: n for w, n in table.weight_distribution.items()},
+        message_profile={2 * w: n for w, n in table.message_profile.items()},
+        # (c, c) enumerates as c does at X^2 and Y^2: every exponent doubled
+        lee_enumerator=re.sub(r"\^(\d+)", lambda e: f"^{2 * int(e[1])}", weight_enumerator(table)),
+        params=CodeParams(2 * table.length, len(table.rows), None if d is None else 2 * d),
+        num_weights=table.num_weights,
+    )

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from icodes import analysis, construction
+from icodes import analysis, cli, construction
 from icodes.geometry import bit_string, gf2_basis
 from icodes.analysis import ALL_ANALYSES, has_weight_triple
 from icodes.cli import main
@@ -19,6 +19,7 @@ from icodes import (
     DefiningSetSpec,
     EmptyDefiningSetError,
     GriesmerStatus,
+    SimplexFinding,
     Variant,
     ab_condition,
     analyze,
@@ -33,9 +34,10 @@ from icodes import (
     simplex_structure,
     theta_conditions,
     verify_against_prediction,
+    weight_enumerator,
     weights_divisible_by_4,
 )
-from test_construction import generic_sets_with_zero_and_repeats
+from test_construction import generic_parts_spec, generic_specs_with_zero_and_repeats
 
 
 def spec(variant, m, M=(), N=()):
@@ -290,20 +292,48 @@ def test_ab_condition_zero_code_rejected():
         ab_condition(binary_table(2, [0]))
 
 
-def minimality_paths(ds):
-    """The image of ds and the rank scan's finding on it (None for a zero
-    code).  The finding must equal the pairwise oracle's, verdict and
-    witness, and be minimal when the weights have no triple; the same code
-    as a built word list must get the same certificates."""
-    image = gray_image(enumerate_code(ds))
+def minimality_paths(s):
+    """The defining set of s, the Gray image of its code and the rank
+    scan's finding on the image (None for a zero code).  The finding must
+    equal the pairwise oracle's, verdict and witness, and be minimal when
+    the weights have no triple; the same code as a built word list must
+    get the same certificates.  The image is the reference for what
+    analyze reads off c: every Lee fact, self-orthogonality, the witness
+    rendered at 2n and the simplex finding."""
+    ds = build_defining_set(s)
+    table = enumerate_code(ds)
+    image = gray_image(table)
+    report = analyze(s)
+    facts = dict(
+        code_size=len(image),
+        kernel_size=image.kernel_size,
+        lee_weight_distribution=image.weight_distribution,
+        message_profile=image.message_profile,
+        lee_enumerator=weight_enumerator(image),
+        params=binary_params(image),
+        num_weights=image.num_weights,
+    )
+    assert construction._lee_facts(table) == facts
+    assert {key: getattr(report, key) for key in facts} == facts
+    assert is_self_orthogonal(image).self_orthogonal
+    assert (report.self_orthogonal, report.self_orthogonal_witness) == ("yes-direct", None)
+    assert report.weights_div4 == weights_divisible_by_4(image)
     if image.min_nonzero_weight() is None:
         return None
     finding = is_minimal_exhaustive(image)
     assert (finding.minimal, finding.witness) == pairwise_minimality(image)
     assert finding.minimal or has_weight_triple(ds.lee_weights)
+    witness = finding.witness and tuple(bit_string(w, image.length) for w in finding.witness)
+    assert (report.minimal, report.minimal_witness) == (
+        "yes-exhaustive" if finding.minimal else "no", witness
+    )
+    one_weight = image.num_weights == 1
+    assert report.simplex == (
+        simplex_structure(image) if one_weight else SimplexFinding("not-one-weight", None, None)
+    )
     # the image keeps its rows; the same code as a built word list
     assert_same_certificates(image, binary_table(image.length, tuple(image.codewords)))
-    return image, finding
+    return ds, image, finding
 
 
 def test_ab_implies_exhaustive_minimality_on_sweep(no_spot_check):
@@ -315,13 +345,12 @@ def test_ab_implies_exhaustive_minimality_on_sweep(no_spot_check):
                     M = frozenset(i + 1 for i in range(m) if mm >> i & 1)
                     N = frozenset(i + 1 for i in range(m) if nn >> i & 1)
                     try:
-                        ds = build_defining_set(spec(variant, m, M, N))
+                        found = minimality_paths(spec(variant, m, M, N))
                     except EmptyDefiningSetError:
                         continue
-                    found = minimality_paths(ds)
                     if found is None:
                         continue
-                    image, finding = found
+                    ds, image, finding = found
                     # on T1-T5 a weight triple occurs exactly in the non-minimal codes
                     assert has_weight_triple(ds.lee_weights) is not finding.minimal
                     decided += 1
@@ -329,11 +358,11 @@ def test_ab_implies_exhaustive_minimality_on_sweep(no_spot_check):
                     if ab_condition(image).holds:
                         assert finding.minimal
     assert (decided, non_minimal) == (1524, 192)
-    # GENERIC sets with zero and repeated members have many more weights
+    # GENERIC sets with zero and repeated members have many more weights;
+    # these include every set of GENERIC_FACTS
+    generic = [*map(generic_parts_spec, range(1, 5)), *generic_specs_with_zero_and_repeats(14)]
     verdicts = Counter(
-        found[1].minimal
-        for found in map(minimality_paths, generic_sets_with_zero_and_repeats(14))
-        if found is not None
+        found[2].minimal for found in map(minimality_paths, generic) if found is not None
     )
     assert verdicts[True] and verdicts[False]
 
@@ -516,7 +545,7 @@ def test_prediction_match_is_none_unless_verify_was_requested():
     assert json.loads(out.getvalue())["reports"][0]["prediction_match"] is None
 
 
-def test_analyze_eliminates_each_image_once(monkeypatch):
+def test_analyze_eliminates_only_the_generator_rows_once(monkeypatch):
     calls = []
 
     def counting_basis(words):
@@ -524,7 +553,7 @@ def test_analyze_eliminates_each_image_once(monkeypatch):
         calls.append(words)
         return gf2_basis(words)
 
-    # a 1-weight T1 image (simplex check included), a two-weight T2 one
+    # a 1-weight T1 code (simplex check included), a two-weight T2 one
     # and a non-minimal T2 one (witness included)
     for s in (
         spec(Variant.T1, 4, {1, 2}, {3}),
@@ -532,15 +561,44 @@ def test_analyze_eliminates_each_image_once(monkeypatch):
         spec(Variant.T2, 4, {1, 2, 3}, {4}),
     ):
         ds = build_defining_set(s)
-        image = gray_image(enumerate_code(ds))
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(construction, "gf2_basis", counting_basis)
             report = analyze(s)
         assert report.prediction_diffs == ()
-        # only the m rows are eliminated, once each: the code's generator
-        # rows, and the images of its basis, which are the image's basis
-        assert sorted(calls) == sorted([ds.rows, image.rows])
+        # the m generator rows of c, once: the Gray image is never reduced
+        assert calls == [ds.rows]
+
+
+def test_no_command_builds_the_gray_image_or_checks_self_orthogonality(monkeypatch):
+    """analyze and construct read every fact off c: with the Gray image and
+    the self-orthogonality check made to raise wherever a module holds
+    them, they report and print what they did before."""
+    argv = (
+        "construct --variant T2 --m 4 --M 1,2,3 --N 4 --format json "
+        "--dump-ring-codewords --dump-gray-codewords"
+    ).split()
+    # one weight, non-minimal with its witness printed, and a GENERIC set
+    specs = (spec(Variant.T1, 4, {1, 2}, {3}), spec(Variant.T2, 4, {1, 2, 3}, {4}),
+             generic_parts_spec(4))
+
+    def outputs():
+        out = io.StringIO()
+        assert main(argv, out=out) == 0
+        return [analyze(s).to_dict() for s in specs], out.getvalue()
+
+    expected = outputs()
+    assert expected[0][0]["simplex"]["kind"] == "replicated-simplex"
+    assert expected[0][1]["minimal_witness"] is not None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Gray image or the self-orthogonality check ran")
+
+    for module in (construction, analysis, cli):
+        for name in ("gray_image", "is_self_orthogonal"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert outputs() == expected
 
 
 def test_analyze_builds_the_defining_set_once(monkeypatch):

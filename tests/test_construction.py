@@ -537,8 +537,8 @@ def test_encode_dimension_mismatch():
         encode(RingVector(3, 0, 0), ds)
 
 
-def generic_sets_with_zero_and_repeats(seed):
-    """Random GENERIC sets up to m = 4, each part holding the zero vector
+def generic_specs_with_zero_and_repeats(seed):
+    """Random GENERIC specs up to m = 4, each part holding the zero vector
     and at least one repeated member."""
     rng = random.Random(seed)
     for m in range(1, 5):
@@ -549,9 +549,12 @@ def generic_sets_with_zero_and_repeats(seed):
                 part.append(BitVector(m, rng.choice(part).bits))
                 rng.shuffle(part)
                 parts.append(part)
-            yield build_defining_set(
-                DefiningSetSpec(variant=Variant.GENERIC, m=m, d1=parts[0], d2=parts[1])
-            )
+            yield DefiningSetSpec(variant=Variant.GENERIC, m=m, d1=parts[0], d2=parts[1])
+
+
+def generic_sets_with_zero_and_repeats(seed):
+    """The defining sets of :func:`generic_specs_with_zero_and_repeats`."""
+    return map(build_defining_set, generic_specs_with_zero_and_repeats(seed))
 
 
 def test_word_wide_encode_equals_per_coordinate_dot():
@@ -916,9 +919,13 @@ def defining_sets(m):
     yield generic_parts_set(m)
 
 
-def generic_parts_set(m):
+def generic_parts_spec(m):
     d1, d2 = (tuple(map(BitVector.from_string, part)) for part in GENERIC_PARTS[m])
-    return build_defining_set(DefiningSetSpec(variant=Variant.GENERIC, m=m, d1=d1, d2=d2))
+    return DefiningSetSpec(variant=Variant.GENERIC, m=m, d1=d1, d2=d2)
+
+
+def generic_parts_set(m):
+    return build_defining_set(generic_parts_spec(m))
 
 
 def test_collapsed_and_plain_walks_agree(no_spot_check):
