@@ -15,6 +15,7 @@ before the output ended.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -213,6 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("tables", help="print the ring addition and multiplication tables")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: parsing reads it and
+    changes nothing in it, so every call of :func:`main` shares it."""
+    return build_parser()
 
 
 #: The keys of a config file, and of each of its jobs.
@@ -646,8 +654,7 @@ def cmd_tables(out) -> int:
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = sys.stdout if out is None else out
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "construct":
             return cmd_construct(args, out)

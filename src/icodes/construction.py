@@ -9,10 +9,11 @@ F_2^m; T5, the complement in I^m of the T1 set, has two disjoint ones;
 GENERIC has one, of its given lists.  Each part has a closed-form size,
 so lengths and empty-set errors build no members, and
 :func:`enumerate_code`, the one place that charges the work budget,
-charges it before anything is read.  A part lists its members once, in
-increasing order, as one cached tuple that mu, the rows and the spot
-check's picks all read.  The pairs are each block's plain product
-D1 x D2 in turn (the one order, stated in
+charges it before anything is read.  A part marks its members among the
+2^m words once, as bytes built by doubling a pattern, which mu reads,
+and lists them once, in increasing order, as one cached tuple that the
+rows and the spot check's picks read.  The pairs are each block's plain
+product D1 x D2 in turn (the one order, stated in
 :meth:`DefiningSet.word_pairs`), listed only when that method walks
 them.  The code is the image of the evaluation map
 v -> (v . d)_{d in D} over all messages v in I^m.  Since a^2 = b and
@@ -27,7 +28,8 @@ add m*n bits.  The code is fixed by the column multiplicity
 mu(x) = #{d : t1(d) = x} (:attr:`DefiningSet.mu`), and the Lee weight of
 alpha's codeword is the character sum n - mu_hat(alpha):
 :attr:`DefiningSet.lee_weights` holds every weight from one
-Walsh-Hadamard transform of mu, which :func:`enumerate_code` and the
+Walsh-Hadamard transform of mu (m whole-int passes over packed lanes,
+:func:`geometry.walsh_hadamard`), which :func:`enumerate_code` and the
 minimality certificate share.  A :class:`CodeTable` is a binary linear
 code: its generator rows, reduced once to the canonical reduced echelon
 basis, with its weight distribution and kernel size; its codewords
@@ -65,7 +67,6 @@ from .geometry import (
     MAX_DIMENSION,
     BitVector,
     bit_string,
-    complex_from_generator,
     gf2_basis,
     walsh_hadamard,
 )
@@ -81,6 +82,8 @@ _SYMBOL_OF_DIGIT = str.maketrans("0123", _SYMBOL_TEXT)
 #: A symbol to its s bit, and to its t bit, as 0/1 text.
 _S_BIT_OF_SYMBOL = str.maketrans(_SYMBOL_TEXT, "0101")
 _T_BIT_OF_SYMBOL = str.maketrans(_SYMBOL_TEXT, "0011")
+#: Swaps the 0 and 1 bytes of a part's member marks: Delta_S to its complement.
+_SWAP_MARKS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 #: Most coordinates per code that the agreement check sums through the ring.
 ORACLE_COORDINATES = 256
 
@@ -243,25 +246,33 @@ class DefiningSet:
     def mu(self) -> list[int]:
         """The column multiplicity: mu[x] pairs have t1 with bit word x.
 
-        Each member of D1 adds len(D2), so GENERIC duplicates and zero
-        members count too; a list over all 2^m words, summing to n.
+        Each block adds len(D2) times D1's member count at every word
+        (:attr:`_Part.counts`), so GENERIC duplicates and zero members
+        count too; a list over all 2^m words, summing to n, built by C-level
+        maps with no Python step per member.
         """
-        mu = [0] * (1 << self.m)
+        mu = None
         for d1, d2 in self.blocks:
-            width = len(d2)
-            for x in d1.members:
-                mu[x] += width
-        _check(sum(mu) == len(self), "the listed members disagree with the closed-form length")
+            column = map(len(d2).__mul__, d1.counts)
+            mu = column if mu is None else map(operator.add, mu, column)
+        mu = list(mu)
+        _check(sum(mu) == len(self), "the marked members disagree with the closed-form length")
         return mu
 
     @cached_property
     def lee_weights(self) -> tuple[int, ...]:
         """W(alpha) = n - mu_hat(alpha), the Lee weight of the codeword of
         every a-part alpha, from one Walsh-Hadamard transform of :attr:`mu`:
-        the one transform that enumeration and the certificates share."""
-        weights = list(self.mu)
+        the one transform that enumeration and the certificates share.
+
+        The transform is linear and takes n at word 0 to n at every alpha,
+        so it takes n at 0 minus mu to W itself: its output list is the
+        weights, with no pass over the 2^m values after it.
+        """
+        weights = list(map(operator.neg, self.mu))
+        weights[0] += len(self)
         walsh_hadamard(weights)
-        return tuple(map(len(self).__sub__, weights))
+        return tuple(weights)
 
     @property
     def pairs(self) -> Iterator[tuple[BitVector, BitVector]]:
@@ -288,11 +299,10 @@ class _Part:
     """One factor of a block: Delta_S, or its complement in F_2^m.
 
     len() is the closed form 2^|S| (2^m - 2^|S| for the complement), so
-    sizing a block builds no members.  :attr:`members` lists them once per
-    part, in increasing integer order, and mu, the rows and the spot
-    check's picks all read that one tuple; a complement is
-    :meth:`geometry.ComplexComplement.words`, F_2^m filtered by a set of
-    Delta_S at C speed.  All of F_2^m is Delta_[m].
+    sizing a block builds no members.  :attr:`counts` marks the members
+    among all 2^m words, which mu reads, and :attr:`members` lists them
+    once per part, in increasing integer order, which the rows and the
+    spot check's picks read.  All of F_2^m is Delta_[m].
     """
 
     m: int
@@ -304,9 +314,27 @@ class _Part:
         return size if self.inside else (1 << self.m) - size
 
     @cached_property
+    def counts(self) -> bytes:
+        """1 at the bit word of each member, 0 elsewhere: 2^m bytes.  Delta_S
+        doubles a pattern once per coordinate i, its new half a copy when
+        i is in S (the words with bit i-1 set) and zeros otherwise; the
+        complement swaps 0 and 1."""
+        marks = b"\x01"
+        for i in range(1, self.m + 1):
+            marks += marks if i in self.indices else bytes(len(marks))
+        return marks if self.inside else marks.translate(_SWAP_MARKS)
+
+    @cached_property
     def members(self) -> tuple[int, ...]:
-        complex_ = complex_from_generator(self.m, self.indices)
-        return complex_.words() if self.inside else tuple(complex_.complement().words())
+        """Delta_S doubles a list once per coordinate i of S, adding bit i-1
+        to every word so far (2^|S| steps, each new word above the rest);
+        the complement is F_2^m filtered by :attr:`counts` at C speed."""
+        if not self.inside:
+            return tuple(itertools.compress(range(1 << self.m), self.counts))
+        members = [0]
+        for i in sorted(self.indices):
+            members += [x | 1 << (i - 1) for x in members]
+        return tuple(members)
 
 
 @dataclass(frozen=True)
@@ -315,10 +343,17 @@ class _Listed:
     order, a member given k times listed k times (for the pair order see
     :meth:`DefiningSet.word_pairs`)."""
 
+    m: int
     members: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def counts(self) -> list[int]:
+        """How many times each of the 2^m words is listed."""
+        listed = Counter(self.members)
+        return list(map(listed.get, range(1 << self.m), itertools.repeat(0)))
 
 
 def _columns(members: Sequence[int], m: int) -> list[bytes]:
@@ -355,7 +390,9 @@ _EMPTY_REASONS = {
 def _blocks(spec: DefiningSetSpec) -> tuple[tuple[_Part | _Listed, _Part | _Listed], ...]:
     """The blocks D1 x D2 whose products, in turn, make up the defining set."""
     if spec.variant is Variant.GENERIC:
-        d1, d2 = (_Listed(tuple(sorted(v.bits for v in part))) for part in (spec.d1, spec.d2))
+        d1, d2 = (
+            _Listed(spec.m, tuple(sorted(v.bits for v in part))) for part in (spec.d1, spec.d2)
+        )
         return ((d1, d2),)
     m = spec.m
     delta_m, delta_n = _Part(m, spec.M), _Part(m, spec.N)

@@ -5,7 +5,9 @@ simplicial complexes given by maximal faces, their multivariate
 generating functions computed by inclusion-exclusion, the indicator of a
 support avoiding an index set, signed character sums over point sets, and
 the fast Walsh-Hadamard transform that takes all 2^m of those sums at
-once from a multiplicity function.
+once from a multiplicity function: its m butterfly passes each run as a
+few whole-int operations on the values packed into fixed-width lanes of
+one int.
 
 Conventions fixed here and used everywhere else: coordinate i of [m] is
 stored at bit position i-1, F_2^m is enumerated in increasing integer
@@ -15,8 +17,9 @@ order of the bit word, and the textual form of a vector lists coordinate
 
 from __future__ import annotations
 
+import array
 import itertools
-import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -150,10 +153,6 @@ class SimplicialComplex:
             seen.update(_subset_masks(face.bits))
         return tuple(sorted(seen))
 
-    def words(self) -> tuple[int, ...]:
-        """The members' bit words, in increasing order."""
-        return self._member_bits
-
     def members(self) -> tuple[BitVector, ...]:
         """All members, in increasing integer order of the bit word."""
         return tuple(BitVector(self.m, bits) for bits in self._member_bits)
@@ -191,14 +190,12 @@ class ComplexComplement:
     def __len__(self) -> int:
         return (1 << self.base.m) - len(self.base)
 
-    def words(self) -> Iterator[int]:
-        """The members' bit words, in increasing order, streamed: F_2^m
-        filtered by a set of the base's members at C speed."""
-        inside = set(self.base._member_bits)
-        return itertools.filterfalse(inside.__contains__, range(1 << self.base.m))
-
     def __iter__(self) -> Iterator[BitVector]:
-        return (BitVector(self.base.m, bits) for bits in self.words())
+        """The members in increasing integer order, streamed: F_2^m filtered
+        by a set of the base's members at C speed."""
+        inside = set(self.base._member_bits)
+        words = itertools.filterfalse(inside.__contains__, range(1 << self.base.m))
+        return (BitVector(self.base.m, bits) for bits in words)
 
     def __contains__(self, item: object) -> bool:
         if not isinstance(item, BitVector):
@@ -322,35 +319,70 @@ def character_sum(alpha: BitVector, points: Iterable[BitVector]) -> int:
     return total
 
 
+#: Signed array type codes for the transform's lanes, narrowest first.
+_LANE_CODES = "hiq"
+
+
 def walsh_hadamard(values: list[int]) -> None:
     """Replace a function on F_2^m by its Walsh-Hadamard transform, in place.
 
     values[x] is the function at the vector with bit word x, and becomes
     the sum over y of values[y] * (-1)^(x . y): the character sum at x of
-    the point multiset that values counts.  m butterfly passes of 2^(m-1)
-    integer additions each.  A pass pairs i with i + half in blocks of
-    2*half and adds whole list slices: while half is below the number of
-    blocks, the slices are strided, one pair of them per offset below
-    half; after that, each block's two contiguous halves.
+    the point multiset that values counts.  Every value, the inputs and
+    each pass's partial sums, is a signed sum of inputs, so it lies within
+    bound = sum(|values|).  The 2^m values are packed into one int as
+    lanes of the narrowest of 16, 32 or 64 bits with 4 * bound < 2^w,
+    each biased by c = 2^(w-2) so that it lies in (0, 2c).  Each of the m
+    butterfly passes pairs lane i with lane i + half in blocks of 2*half
+    as a few whole-int operations: a mask of the low lanes splits the int
+    into them and the high lanes shifted down, and the low lanes become
+    low + high - c and the high ones low - high + c, with no carry or
+    borrow between lanes.  The lanes are packed and unpacked once each,
+    through a signed :mod:`array`, read little-endian on every host, and
+    each int or list of 2^m values is let go as soon as it has been read,
+    so the transform holds about as much as the list it replaces.
+    Raises OverflowError when 64-bit lanes cannot hold the bound; the
+    list is then left as it was.
     """
     size = len(values)
     if size & (size - 1) or not size:
         raise ValueError(f"length must be a power of two, got {size}")
+    bound = sum(map(abs, values))
+    for code in _LANE_CODES:
+        step = array.array(code).itemsize
+        width = 8 * step
+        if 4 * bound < 1 << width:
+            break
+    else:
+        raise OverflowError(f"4 * sum(|values|) = {4 * bound} does not fit in 64-bit lanes")
+    lanes = array.array(code, values)
+    values.clear()  # the lanes hold the values: the list's ints are freed for the passes
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    # bias holds c in every lane; xor with 2c turns two's complement v into v + 2c
+    bias = int.from_bytes((1 << (width - 2)).to_bytes(step, "little") * size, "little")
+    packed = (int.from_bytes(lanes.tobytes(), "little") ^ bias << 1) - bias
+    del lanes
     half = 1
     while half < size:
-        step = 2 * half
-        if half < size // step:
-            for low in range(half):
-                x, y = values[low::step], values[low + half :: step]
-                values[low::step] = map(operator.add, x, y)
-                values[low + half :: step] = map(operator.sub, x, y)
-        else:
-            for low in range(0, size, step):
-                mid, high = low + half, low + step
-                x, y = values[low:mid], values[mid:high]
-                values[low:mid] = map(operator.add, x, y)
-                values[mid:high] = map(operator.sub, x, y)
-        half = step
+        packed = _butterfly_pass(packed, bias, half, size, step)
+        half *= 2
+    lanes = array.array(code, ((packed + bias) ^ bias << 1).to_bytes(size * step, "little"))
+    del packed, bias
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    values.extend(lanes)
+
+
+def _butterfly_pass(packed: int, bias: int, half: int, size: int, step: int) -> int:
+    """One pass of :func:`walsh_hadamard` over size biased lanes of step
+    bytes: in each block of 2*half lanes, lane i and lane i + half become
+    their sum and difference.  Its masks and halves live only in this call."""
+    shift = 8 * step * half
+    ones, zeros = b"\xff" * (step * half), bytes(step * half)
+    mask = int.from_bytes((ones + zeros) * (size // (2 * half)), "little")
+    low, high, low_bias = packed & mask, packed >> shift & mask, bias & mask
+    return (low + high - low_bias) | (low + low_bias - high) << shift
 
 
 def gf2_basis(words: Iterable[int]) -> tuple[int, ...]:

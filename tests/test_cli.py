@@ -76,6 +76,42 @@ def test_parse_variants():
         parse_variants("GENERIC")
 
 
+def test_consecutive_calls_share_one_parser_and_match_fresh_processes(monkeypatch, capsys):
+    """main() builds its parser once per process; each later call parses
+    with it and prints what a fresh ``python -m icodes`` prints."""
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the same width in both
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    builds, codes = [], []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for argv in (
+            ["construct", "--variant", "T2", "--m", "5", "--M", "1,2,3", "--N", "4",
+             "--format", "json"],
+            ["analyze", "--variant", "T2", "--m", "5", "--M", "1,2,3", "--N", "4"],
+            ["construct", "--variant", "T2"],  # no --m: argparse exits 2 with its usage
+            ["tables"],
+        ):
+            out = io.StringIO()
+            try:
+                code = main(argv, out=out)
+            except SystemExit as exc:
+                code = exc.code
+            fresh = subprocess.run(
+                [sys.executable, "-m", "icodes", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert (code, out.getvalue(), capsys.readouterr().err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+            codes.append(code)
+        assert codes == [0, 0, 2, 0] and builds == [1]
+    finally:
+        cli._parser.cache_clear()  # the next caller builds it with the real build_parser
+
+
 # --- construct -----------------------------------------------------------------
 
 

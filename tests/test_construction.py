@@ -43,8 +43,6 @@ from icodes import (
 )
 from icodes.analysis import is_minimal_exhaustive, is_self_orthogonal
 from icodes.geometry import (
-    ComplexComplement,
-    SimplicialComplex,
     all_vectors,
     bit_string,
     character_sum,
@@ -297,7 +295,8 @@ def test_budget_check_builds_no_members(monkeypatch):
     def refuse(*args):
         raise AssertionError("the budget check built a member list")
 
-    monkeypatch.setattr(construction, "complex_from_generator", refuse)
+    for name in ("counts", "members"):
+        monkeypatch.setattr(construction._Part, name, property(refuse))
     with pytest.raises(BudgetExceededError):
         enumerate_code(build_defining_set(spec(Variant.T2, 24, {1})))
 
@@ -412,6 +411,44 @@ def test_generic_blocks_keep_the_stable_pair_order():
                 RingVector(m, rng.randrange(1 << m), rng.randrange(1 << m)) for _ in range(4)
             ]
             check_blocks_against_pairs(ds, pairs, messages)
+
+
+def per_member_mu(m, blocks):
+    """mu by one step per member: each listed t1 adds its block's len(D2)."""
+    mu = [0] * (1 << m)
+    for d1, d2 in blocks:
+        for x in d1:
+            mu[x] += len(d2)
+    return mu
+
+
+def test_mu_is_the_per_member_count_up_to_m5():
+    for m in range(1, 6):
+        for mm, nn in itertools.product(range(1 << m), repeat=2):
+            M = frozenset(i + 1 for i in range(m) if mm >> i & 1)
+            N = frozenset(i + 1 for i in range(m) if nn >> i & 1)
+            for variant, blocks in README_BLOCKS.items():
+                parts = blocks(m, M, N)
+                if not any(d1 and d2 for d1, d2 in parts):
+                    continue
+                ds = build_defining_set(spec(variant, m, M, N))
+                assert ds.mu == per_member_mu(m, parts), (variant, m, M, N)
+
+
+def test_generic_mu_counts_repeated_and_zero_members():
+    rng = random.Random(14)
+    for m in range(1, 7):
+        for _ in range(10):
+            d1 = [rng.randrange(1 << m) for _ in range(rng.randint(1, 9))]
+            d1 += [0, 0, d1[0]]  # the zero word twice, and a repeat
+            d2 = [rng.randrange(1 << m) for _ in range(rng.randint(1, 5))]
+            d2 += [0, d2[-1]]
+            ds = build_defining_set(DefiningSetSpec(
+                variant=Variant.GENERIC, m=m,
+                d1=[BitVector(m, x) for x in d1], d2=[BitVector(m, y) for y in d2],
+            ))
+            assert ds.mu == per_member_mu(m, [(d1, d2)])
+            assert ds.mu[0] >= 2 * len(d2)
 
 
 #: mu of each variant in closed form: (on Delta_M, off Delta_M) for |N| = b.
@@ -613,23 +650,31 @@ def test_coordinate_words_are_the_pair_bits(monkeypatch):
 
 def test_each_part_lists_its_members_once_per_code(monkeypatch):
     """mu, the rows and the spot check's picks read one listing of each
-    part's members: a complement is not streamed once per reader."""
-    listings = []
-    for source in (SimplicialComplex, ComplexComplement):
+    part's members, and mu one marking of each D1: neither is rebuilt per
+    reader."""
+    built = []
+    for name in ("counts", "members"):
 
-        def listed(self, words=source.words):
-            listings.append(self)
-            return words(self)
+        def logged(self, build=getattr(construction._Part, name).func, name=name):
+            built.append((name, id(self)))
+            return build(self)
 
-        monkeypatch.setattr(source, "words", listed)
+        prop = functools.cached_property(logged)
+        prop.__set_name__(construction._Part, name)
+        monkeypatch.setattr(construction._Part, name, prop)
     for s in (
         spec(Variant.T2, 9, {1, 2, 3, 4, 7, 8, 9}, {5, 6}),
         spec(Variant.T5, 7, {1, 2, 3}, {4, 5}),
     ):
-        listings.clear()
+        built.clear()
         ds = build_defining_set(s)
         enumerate_code(ds)
-        assert len(listings) == sum(len(block) for block in ds.blocks), s
+        assert len(set(built)) == len(built), s
+        listed = {part for name, part in built if name == "members"}
+        assert listed == {id(part) for block in ds.blocks for part in block}, s
+        assert {part for name, part in built if name == "counts"} >= {
+            id(d1) for d1, _d2 in ds.blocks
+        }, s
 
 
 @pytest.mark.parametrize(

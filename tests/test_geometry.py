@@ -5,7 +5,12 @@ direct enumeration over members, written out here rather than shared with
 the library implementation.
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
@@ -20,6 +25,7 @@ from icodes import (
     gf2_basis,
     support_disjoint,
 )
+from icodes import geometry
 from icodes.geometry import bit_string, walsh_hadamard
 
 
@@ -352,6 +358,90 @@ def test_walsh_hadamard_gives_every_character_sum():
     single = [5]
     walsh_hadamard(single)
     assert single == [5]
+
+
+def check_against_scalar(values):
+    transform, reference = list(values), list(values)
+    walsh_hadamard(transform)
+    scalar_walsh_hadamard(reference)
+    assert transform == reference
+    assert all(type(total) is int for total in transform)
+
+
+def test_walsh_hadamard_lanes_take_negative_entries():
+    rng = random.Random(6)
+    for m in range(0, 11):
+        for spread in (3, 1000, 1 << 40):
+            check_against_scalar([rng.randint(-spread, spread) for _ in range(1 << m)])
+
+
+def test_walsh_hadamard_of_lengths_one_and_two():
+    for values in ([0], [5], [-7], [0, 0], [3, 4], [-3, 4], [4, -3], [-2, -9]):
+        check_against_scalar(values)
+
+
+def extremes(bound, m, rng):
+    """Lists of length 2^m with sum(|v|) = bound whose transforms reach
+    +bound and -bound: one spike of either sign, and a random split of the
+    bound into signed parts."""
+    size = 1 << m
+    yield [bound] + [0] * (size - 1)
+    yield [0] * (size - 1) + [-bound]
+    cuts = sorted(rng.randrange(bound + 1) for _ in range(size - 1))
+    parts = [high - low for low, high in zip([0, *cuts], [*cuts, bound])]
+    yield [part * rng.choice((1, -1)) for part in parts]
+    yield [part * (1 - 2 * (x.bit_count() & 1)) for x, part in enumerate(parts)]
+
+
+@pytest.mark.parametrize("width", [16, 32, 64])
+def test_walsh_hadamard_at_each_lane_width_switch(width):
+    # the narrowest lanes with 4 * bound < 2^width: the last bound that fits
+    # and, below 64 bits, the first that needs the next width and one that
+    # only a looser rule would give these lanes
+    rng = random.Random(width)
+    top = (1 << (width - 2)) - 1
+    for bound in (top, top + 1, (1 << (width - 1)) - 1) if width < 64 else (top,):
+        for m in (1, 2, 5, 8):
+            for values in extremes(bound, m, rng):
+                assert sum(map(abs, values)) == bound
+                check_against_scalar(values)
+
+
+@pytest.mark.parametrize("spread", [100, 1 << 40], ids=["32-bit", "64-bit"])
+def test_walsh_hadamard_holds_less_than_a_second_list(spread):
+    # the input's ints are let go once packed, and each whole-int pass's
+    # masks and halves once read, so the peak stays below twice what the
+    # list and its ints hold
+    rng = random.Random(7)
+    tracemalloc.start()
+    try:
+        values = [rng.randint(-spread, spread) for _ in range(1 << 16)]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        walsh_hadamard(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * held, (peak, held)
+
+
+def test_walsh_hadamard_refuses_what_64_bit_lanes_cannot_hold():
+    for values in ([1 << 62], [1 << 61, -(1 << 61)], [1, 1 << 62, 0, 0]):
+        before = list(values)
+        with pytest.raises(OverflowError, match="64-bit lanes"):
+            walsh_hadamard(values)
+        assert values == before  # refused before anything is written
+
+
+def test_walsh_hadamard_lane_bound_survives_optimized_mode():
+    script = "from icodes.geometry import walsh_hadamard\nwalsh_hadamard([1 << 62, 0])\n"
+    src = pathlib.Path(geometry.__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 1
+    assert "OverflowError: 4 * sum(|values|) = " in result.stderr
 
 
 @pytest.mark.parametrize("size", [0, 3, 6])
