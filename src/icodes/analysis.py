@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .construction import (
     CodeParams,
@@ -261,17 +261,18 @@ _POINT_ORDER_SEED = 0x1C0DE5
 RANK_SCAN_CROSS_CHECK_K = 8
 
 
-def has_weight_triple(weights: Sequence[int]) -> bool:
+def has_weight_triple(weights: Iterable[int]) -> bool:
     """Whether some nonzero weights a, b and a + b all occur in the code.
 
-    weights[x] is the weight of the codeword of message x in F_2^m (the
-    code's Lee weights W, indexed by a-part): no codeword is built.  A
-    nonzero codeword u_x lies inside the support of another, u_x ^ u_y
-    with u_y nonzero, iff u_x and u_y have disjoint supports, iff W(x) +
-    W(y) = W(x ^ y) (Cohen, Mesnager and Patey, IMACC 2013).  So a code
-    without such a triple of weights is minimal; one with a triple may
-    be either, and :func:`is_minimal_exhaustive` decides it.  The paper's
-    few-weight minimal codes have no triple.
+    weights are the code's weights; repeats are ignored, so the Lee
+    weights W of every a-part and the table's weight distribution (the
+    weights of c, each W halved) give the same answer: a triple a + b = c
+    survives halving.  A nonzero codeword u_x lies inside the support of
+    another, u_x ^ u_y with u_y nonzero, iff u_x and u_y have disjoint
+    supports, iff W(x) + W(y) = W(x ^ y) (Cohen, Mesnager and Patey,
+    IMACC 2013).  So a code without such a triple of weights is minimal;
+    one with a triple may be either, and :func:`is_minimal_exhaustive`
+    decides it.  The paper's few-weight minimal codes have no triple.
     """
     levels = set(weights) - {0}
     return any(a + b in levels for a in levels for b in levels)
@@ -643,7 +644,7 @@ def analyze(
         ab = ab_condition(table)
         fields["ab_ratio"] = str(ab.ratio)
         fields["ab_holds"] = ab.holds
-        triple = has_weight_triple(ds.lee_weights)
+        triple = has_weight_triple(table.weight_distribution)
         if not triple and len(table.rows) > RANK_SCAN_CROSS_CHECK_K:
             finding = MinimalityFinding(True, None)
         else:

@@ -2,18 +2,18 @@
 
 A defining set is a union of blocks D1 x D2, each pair (t1, t2) of a
 block standing for the element a*t1 + b*t2 of I^m, and it is held as
-those blocks, never as its n pairs.  One table (:func:`_blocks`) states
-each variant's blocks.  T1..T4 have one, whose parts are Delta_M or
-Delta_N (the vectors supported inside M or N) or their complements in
-F_2^m; T5, the complement in I^m of the T1 set, has two disjoint ones;
-GENERIC has one, of its given lists.  Each part has a closed-form size,
-so lengths and empty-set errors build no members, and
-:func:`enumerate_code`, the one place that charges the work budget,
-charges it before anything is read.  A part marks its members among the
-2^m words once, as bytes built by doubling a pattern, which mu reads,
-and lists them once, in increasing order, as one cached tuple that the
-rows and the spot check's picks read.  The pairs are each block's plain
-product D1 x D2 in turn (the one order, stated in
+those blocks, never as its n pairs.  :func:`_blocks` states each
+variant's blocks.  T1..T4 have one, whose parts are the paper's
+complexes Delta_M or Delta_N (the vectors supported inside M or N) or
+their complements, the :mod:`geometry` objects themselves; T5, the
+complement in I^m of the T1 set, has two disjoint ones; GENERIC has one,
+of its given lists.  Every part has a closed-form len(), so lengths and
+empty-set errors build no members, and :func:`enumerate_code`, the one
+place that charges the work budget, charges it before anything is read.
+Every part marks its members among the 2^m words once (``counts``),
+which mu reads, and lists their bit words once, in increasing order
+(``words``), which the rows and the spot check's picks read.  The pairs
+are each block's plain product D1 x D2 in turn (the one order, stated in
 :meth:`DefiningSet.word_pairs`), listed only when that method walks
 them.  The code is the image of the evaluation map
 v -> (v . d)_{d in D} over all messages v in I^m.  Since a^2 = b and
@@ -54,7 +54,6 @@ import functools
 import itertools
 import operator
 import random
-import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -66,7 +65,10 @@ from .errors import BudgetExceededError, DimensionMismatchError, EmptyDefiningSe
 from .geometry import (
     MAX_DIMENSION,
     BitVector,
+    ComplexComplement,
+    SimplicialComplex,
     bit_string,
+    complex_from_generator,
     gf2_basis,
     walsh_hadamard,
 )
@@ -82,8 +84,6 @@ _SYMBOL_OF_DIGIT = str.maketrans("0123", _SYMBOL_TEXT)
 #: A symbol to its s bit, and to its t bit, as 0/1 text.
 _S_BIT_OF_SYMBOL = str.maketrans(_SYMBOL_TEXT, "0101")
 _T_BIT_OF_SYMBOL = str.maketrans(_SYMBOL_TEXT, "0011")
-#: Swaps the 0 and 1 bytes of a part's member marks: Delta_S to its complement.
-_SWAP_MARKS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 #: Most coordinates per code that the agreement check sums through the ring.
 ORACLE_COORDINATES = 256
 
@@ -211,7 +211,7 @@ class DefiningSet:
     """
 
     m: int
-    blocks: tuple[tuple[_Part | _Listed, _Part | _Listed], ...]
+    blocks: tuple[tuple[_Factor, _Factor], ...]
 
     @cached_property
     def rows(self) -> tuple[int, ...]:
@@ -228,7 +228,7 @@ class DefiningSet:
         bits are shifted past the blocks before it.
         """
         m = self.m
-        layout = [(_columns(d1.members, m), len(d2), len(d1)) for d1, d2 in self.blocks]
+        layout = [(_columns(d1.words, m), len(d2), len(d1)) for d1, d2 in self.blocks]
         rows = []
         for i in range(m):
             row = offset = 0
@@ -246,8 +246,8 @@ class DefiningSet:
     def mu(self) -> list[int]:
         """The column multiplicity: mu[x] pairs have t1 with bit word x.
 
-        Each block adds len(D2) times D1's member count at every word
-        (:attr:`_Part.counts`), so GENERIC duplicates and zero members
+        Each block adds len(D2) times D1's member count at every word (its
+        ``counts``), so GENERIC duplicates and zero members
         count too; a list over all 2^m words, summing to n, built by C-level
         maps with no Python step per member.
         """
@@ -291,50 +291,7 @@ class DefiningSet:
         times repeats its whole run of len(D2) pairs k times.
         """
         for d1, d2 in self.blocks:
-            yield from itertools.product(d1.members, d2.members)
-
-
-@dataclass(frozen=True)
-class _Part:
-    """One factor of a block: Delta_S, or its complement in F_2^m.
-
-    len() is the closed form 2^|S| (2^m - 2^|S| for the complement), so
-    sizing a block builds no members.  :attr:`counts` marks the members
-    among all 2^m words, which mu reads, and :attr:`members` lists them
-    once per part, in increasing integer order, which the rows and the
-    spot check's picks read.  All of F_2^m is Delta_[m].
-    """
-
-    m: int
-    indices: frozenset[int]
-    inside: bool = True
-
-    def __len__(self) -> int:
-        size = 1 << len(self.indices)
-        return size if self.inside else (1 << self.m) - size
-
-    @cached_property
-    def counts(self) -> bytes:
-        """1 at the bit word of each member, 0 elsewhere: 2^m bytes.  Delta_S
-        doubles a pattern once per coordinate i, its new half a copy when
-        i is in S (the words with bit i-1 set) and zeros otherwise; the
-        complement swaps 0 and 1."""
-        marks = b"\x01"
-        for i in range(1, self.m + 1):
-            marks += marks if i in self.indices else bytes(len(marks))
-        return marks if self.inside else marks.translate(_SWAP_MARKS)
-
-    @cached_property
-    def members(self) -> tuple[int, ...]:
-        """Delta_S doubles a list once per coordinate i of S, adding bit i-1
-        to every word so far (2^|S| steps, each new word above the rest);
-        the complement is F_2^m filtered by :attr:`counts` at C speed."""
-        if not self.inside:
-            return tuple(itertools.compress(range(1 << self.m), self.counts))
-        members = [0]
-        for i in sorted(self.indices):
-            members += [x | 1 << (i - 1) for x in members]
-        return tuple(members)
+            yield from itertools.product(d1.words, d2.words)
 
 
 @dataclass(frozen=True)
@@ -344,16 +301,20 @@ class _Listed:
     :meth:`DefiningSet.word_pairs`)."""
 
     m: int
-    members: tuple[int, ...]
+    words: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.words)
 
     @cached_property
     def counts(self) -> list[int]:
         """How many times each of the 2^m words is listed."""
-        listed = Counter(self.members)
+        listed = Counter(self.words)
         return list(map(listed.get, range(1 << self.m), itertools.repeat(0)))
+
+
+#: A factor of a block D1 x D2: Delta_S or its complement, or a GENERIC list.
+_Factor = SimplicialComplex | ComplexComplement | _Listed
 
 
 def _columns(members: Sequence[int], m: int) -> list[bytes]:
@@ -387,24 +348,19 @@ _EMPTY_REASONS = {
 }
 
 
-def _blocks(spec: DefiningSetSpec) -> tuple[tuple[_Part | _Listed, _Part | _Listed], ...]:
+def _blocks(spec: DefiningSetSpec) -> tuple[tuple[_Factor, _Factor], ...]:
     """The blocks D1 x D2 whose products, in turn, make up the defining set."""
-    if spec.variant is Variant.GENERIC:
-        d1, d2 = (
-            _Listed(spec.m, tuple(sorted(v.bits for v in part))) for part in (spec.d1, spec.d2)
-        )
+    m, variant = spec.m, spec.variant
+    if variant is Variant.GENERIC:
+        d1, d2 = (_Listed(m, tuple(sorted(v.bits for v in part))) for part in (spec.d1, spec.d2))
         return ((d1, d2),)
-    m = spec.m
-    delta_m, delta_n = _Part(m, spec.M), _Part(m, spec.N)
-    outside_m, outside_n = _Part(m, spec.M, inside=False), _Part(m, spec.N, inside=False)
-    everything = _Part(m, frozenset(range(1, m + 1)))
-    return {
-        Variant.T1: ((delta_m, delta_n),),
-        Variant.T2: ((outside_m, delta_n),),
-        Variant.T3: ((delta_m, outside_n),),
-        Variant.T4: ((outside_m, outside_n),),
-        Variant.T5: ((outside_m, everything), (delta_m, outside_n)),
-    }[spec.variant]
+    delta_m, delta_n = complex_from_generator(m, spec.M), complex_from_generator(m, spec.N)
+    if variant is Variant.T5:
+        everything = complex_from_generator(m, range(1, m + 1))
+        return ((delta_m.complement(), everything), (delta_m, delta_n.complement()))
+    d1 = delta_m.complement() if variant in (Variant.T2, Variant.T4) else delta_m
+    d2 = delta_n.complement() if variant in (Variant.T3, Variant.T4) else delta_n
+    return ((d1, d2),)
 
 
 def defining_set_length(spec: DefiningSetSpec) -> int:
@@ -606,7 +562,7 @@ def _oracle_pairs(ds: DefiningSet, seed: int) -> list[tuple[int, tuple[int, ...]
     the len(D1) * len(D2) pairs after those of the blocks before it, D2
     minor (:meth:`DefiningSet.word_pairs`), so pair j of a block at offset
     o is (member i1 of D1, member i2 of D2) with (i1, i2) =
-    divmod(j - o, len(D2)), read from the parts' :attr:`_Part.members`.
+    divmod(j - o, len(D2)), read from the parts' ``words``.
     """
     m, n = ds.m, len(ds)
     picks = (
@@ -620,7 +576,7 @@ def _oracle_pairs(ds: DefiningSet, seed: int) -> list[tuple[int, tuple[int, ...]
         end = offset + len(d1) * width
         inside = [j for j in picks if offset <= j < end]
         if inside:
-            t1s, t2s = d1.members, d2.members
+            t1s, t2s = d1.words, d2.words
             for j in inside:
                 i1, i2 = divmod(j - offset, width)
                 t1, t2 = t1s[i1], t2s[i2]
@@ -791,12 +747,17 @@ def weight_enumerator(table: CodeTable) -> str:
     minus the weight.  The Lee enumerator of the ring code is that of its
     Gray image, whose length is 2n, the most a Lee weight can be.
     """
+    return _enumerator_text(table.length, table.weight_distribution)
+
+
+def _enumerator_text(length: int, distribution: dict[int, int]) -> str:
+    """:func:`weight_enumerator` of a length and a weight distribution."""
     parts = []
-    for w in sorted(table.weight_distribution):
-        count = table.weight_distribution[w]
+    for w in sorted(distribution):
+        count = distribution[w]
         term = "" if count == 1 else str(count)
-        if table.length - w > 0:
-            term += f"X^{table.length - w}"
+        if length - w > 0:
+            term += f"X^{length - w}"
         if w > 0:
             term += f"Y^{w}"
         parts.append(term or "1")
@@ -808,13 +769,13 @@ def _lee_facts(table: CodeTable) -> dict:
     report's field names: the Gray image (c, c) has c's size, kernel and
     rank, and c's length and weights doubled, so no 2n-bit word is built."""
     d = table.min_nonzero_weight()
+    lee = {2 * w: n for w, n in table.weight_distribution.items()}
     return dict(
         code_size=len(table),
         kernel_size=table.kernel_size,
-        lee_weight_distribution={2 * w: n for w, n in table.weight_distribution.items()},
+        lee_weight_distribution=lee,
         message_profile={2 * w: n for w, n in table.message_profile.items()},
-        # (c, c) enumerates as c does at X^2 and Y^2: every exponent doubled
-        lee_enumerator=re.sub(r"\^(\d+)", lambda e: f"^{2 * int(e[1])}", weight_enumerator(table)),
+        lee_enumerator=_enumerator_text(2 * table.length, lee),
         params=CodeParams(2 * table.length, len(table.rows), None if d is None else 2 * d),
         num_weights=table.num_weights,
     )

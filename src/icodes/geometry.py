@@ -1,13 +1,13 @@
 """Bit-vector machinery for F_2^m.
 
 Covers supports and the cover (support containment) partial order,
-simplicial complexes given by maximal faces, their multivariate
-generating functions computed by inclusion-exclusion, the indicator of a
-support avoiding an index set, signed character sums over point sets, and
-the fast Walsh-Hadamard transform that takes all 2^m of those sums at
-once from a multiplicity function: its m butterfly passes each run as a
-few whole-int operations on the values packed into fixed-width lanes of
-one int.
+simplicial complexes given by maximal faces and their complements (the
+parts of every T1..T5 defining set), their generating functions and
+sizes by inclusion-exclusion, the indicator of a support avoiding an
+index set, signed character sums over point sets, and the fast
+Walsh-Hadamard transform that takes all 2^m of those sums at once from a
+multiplicity function, its m butterfly passes each a few whole-int
+operations on the values packed into fixed-width lanes of one int.
 
 Conventions fixed here and used everywhere else: coordinate i of [m] is
 stored at bit position i-1, F_2^m is enumerated in increasing integer
@@ -113,6 +113,16 @@ def _subset_masks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+#: Swaps the 0 and 1 bytes of a complex's member marks: its complement's marks.
+_SWAP_MARKS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _marked_words(points: SimplicialComplex | ComplexComplement) -> tuple[int, ...]:
+    """The members' bit words in increasing order: F_2^m filtered by the
+    marks (``counts``) at C speed."""
+    return tuple(itertools.compress(range(1 << points.m), points.counts))
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A down-closed subset of F_2^m, represented by its maximal faces.
@@ -120,7 +130,8 @@ class SimplicialComplex:
     The face family must already be reduced: pairwise incomparable under
     the cover order.  Use :func:`complex_from_maximal_faces` to reduce an
     arbitrary family, or :func:`complex_from_generator` for the complex
-    of all vectors supported inside one index set.
+    of all vectors supported inside one index set.  len() is the
+    generating function at all ones, taken once: it lists and marks nothing.
     """
 
     m: int
@@ -145,20 +156,30 @@ class SimplicialComplex:
             "maximal_faces",
             tuple(sorted(self.maximal_faces, key=lambda f: f.bits)),
         )
+        terms = _intersection_terms(self.maximal_faces)
+        object.__setattr__(self, "_size", sum(c << t.bit_count() for t, c in terms.items()))
 
     @cached_property
-    def _member_bits(self) -> tuple[int, ...]:
-        seen: set[int] = set()
+    def counts(self) -> bytes:
+        """1 at the bit word of each member, 0 elsewhere: 2^m bytes.  Each
+        face doubles a pattern once per coordinate, the new half a copy if
+        the face holds it and zeros if not; the faces' marks are OR-ed."""
+        union = 0
         for face in self.maximal_faces:
-            seen.update(_subset_masks(face.bits))
-        return tuple(sorted(seen))
+            marks = b"\x01"
+            for i in range(self.m):
+                marks += marks if face.bits >> i & 1 else bytes(len(marks))
+            union |= int.from_bytes(marks, "little")
+        return union.to_bytes(1 << self.m, "little")
+
+    words = cached_property(_marked_words)
 
     def members(self) -> tuple[BitVector, ...]:
         """All members, in increasing integer order of the bit word."""
-        return tuple(BitVector(self.m, bits) for bits in self._member_bits)
+        return tuple(BitVector(self.m, bits) for bits in self.words)
 
     def __len__(self) -> int:
-        return len(self._member_bits)
+        return self._size
 
     def __contains__(self, item: object) -> bool:
         if not isinstance(item, BitVector):
@@ -177,8 +198,8 @@ class SimplicialComplex:
 class ComplexComplement:
     """The set complement of a simplicial complex in F_2^m.
 
-    Kept implicit: membership is a predicate and enumeration streams
-    F_2^m, so the complement is never materialized.
+    Membership is a predicate and len() 2^m minus the base's, so neither
+    lists nor marks a member; iteration streams the members from the marks.
     """
 
     base: SimplicialComplex
@@ -190,12 +211,17 @@ class ComplexComplement:
     def __len__(self) -> int:
         return (1 << self.base.m) - len(self.base)
 
+    @cached_property
+    def counts(self) -> bytes:
+        """The base's marks with 0 and 1 swapped."""
+        return self.base.counts.translate(_SWAP_MARKS)
+
+    words = cached_property(_marked_words)
+
     def __iter__(self) -> Iterator[BitVector]:
-        """The members in increasing integer order, streamed: F_2^m filtered
-        by a set of the base's members at C speed."""
-        inside = set(self.base._member_bits)
-        words = itertools.filterfalse(inside.__contains__, range(1 << self.base.m))
-        return (BitVector(self.base.m, bits) for bits in words)
+        """The members in increasing integer order, streamed from the marks."""
+        m = self.m
+        return (BitVector(m, bits) for bits in itertools.compress(range(1 << m), self.counts))
 
     def __contains__(self, item: object) -> bool:
         if not isinstance(item, BitVector):
@@ -282,24 +308,33 @@ class GeneratingPolynomial:
         return " + ".join(parts)
 
 
+def _intersection_terms(faces: Sequence[BitVector]) -> dict[int, int]:
+    """Inclusion-exclusion over a face family: each common support of a
+    nonempty subfamily S, with (-1)^(|S|+1) summed over the subfamilies
+    that share it.  A new face F adds itself with +1, and each term T
+    before it again at T & F negated."""
+    terms: dict[int, int] = {}
+    for face in faces:
+        step = {face.bits: 1}
+        for common, coeff in terms.items():
+            step[common & face.bits] = step.get(common & face.bits, 0) - coeff
+        for common, coeff in step.items():
+            terms[common] = terms.get(common, 0) + coeff
+    return terms
+
+
 def generating_function(complex_: SimplicialComplex) -> GeneratingPolynomial:
     """Generating polynomial of a complex, by inclusion-exclusion.
 
     Sums (-1)^(|S|+1) * prod_{i in common support of S} (1 + y_i) over the
-    nonempty subfamilies S of the maximal faces; each product is expanded
-    into 0/1 monomials.  Must agree with summing monomials over the
-    enumerated members directly.
+    nonempty subfamilies S of the maximal faces (:func:`_intersection_terms`);
+    each product is expanded into 0/1 monomials.  Must agree with summing
+    monomials over the enumerated members directly.
     """
-    faces = complex_.maximal_faces
     coeffs: dict[int, int] = {}
-    for picks in range(1, 1 << len(faces)):
-        common = (1 << complex_.m) - 1
-        for i, face in enumerate(faces):
-            if picks >> i & 1:
-                common &= face.bits
-        sign = -1 if picks.bit_count() % 2 == 0 else 1
+    for common, coeff in _intersection_terms(complex_.maximal_faces).items():
         for mono in _subset_masks(common):
-            coeffs[mono] = coeffs.get(mono, 0) + sign
+            coeffs[mono] = coeffs.get(mono, 0) + coeff
     return GeneratingPolynomial(complex_.m, coeffs)
 
 

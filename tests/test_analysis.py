@@ -614,12 +614,11 @@ def test_tampered_weight_list_fails_the_rank_scan(monkeypatch):
     real = analysis.enumerate_code
 
     def tampering(ds, **options):
-        # non-minimal, k = 4: its one word of weight 32 moved down to 16
+        # non-minimal, k = 4: its one word of weight 16 moved down to 8
         # leaves no triple, so the weights alone call it minimal
         table = real(ds, **options)
-        weights = list(ds.lee_weights)
-        weights[weights.index(32)] = 16
-        object.__setattr__(ds, "lee_weights", tuple(weights))
+        assert table.weight_distribution == {0: 1, 8: 14, 16: 1}
+        object.__setattr__(table, "weight_distribution", {0: 1, 8: 15})
         return table
 
     monkeypatch.setattr(analysis, "enumerate_code", tampering)

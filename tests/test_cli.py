@@ -678,6 +678,16 @@ def test_every_readme_command_exits_zero():
         assert code == 0, command
 
 
+def test_readme_batch_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Batch configs", 1)[1]
+    config = tmp_path / "jobs.json"
+    config.write_text(section.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    code, out = run(["analyze", "--config", str(config)])
+    assert code == 0
+    assert json.loads(out)["all_expected"] is True
+
+
 #: sha256 of stdout and of stderr, and the exit status, of the README
 #: commands, both dump workloads, a certify rung and a JSON sweep; recorded
 #: before the pairs of a GENERIC block became the plain product of its parts,

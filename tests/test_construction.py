@@ -43,6 +43,8 @@ from icodes import (
 )
 from icodes.analysis import is_minimal_exhaustive, is_self_orthogonal
 from icodes.geometry import (
+    ComplexComplement,
+    SimplicialComplex,
     all_vectors,
     bit_string,
     character_sum,
@@ -50,6 +52,9 @@ from icodes.geometry import (
     walsh_hadamard,
 )
 from icodes.ring import addition_table, dot, multiplication_table
+
+#: The classes of the parts of every T1..T5 defining set.
+COMPLEX_CLASSES = (SimplicialComplex, ComplexComplement)
 
 # Independent mini-ring: symbol tables only, no bit tricks.
 ADD = {
@@ -295,8 +300,8 @@ def test_budget_check_builds_no_members(monkeypatch):
     def refuse(*args):
         raise AssertionError("the budget check built a member list")
 
-    for name in ("counts", "members"):
-        monkeypatch.setattr(construction._Part, name, property(refuse))
+    for cls, name in itertools.product(COMPLEX_CLASSES, ("counts", "words")):
+        monkeypatch.setattr(cls, name, property(refuse))
     with pytest.raises(BudgetExceededError):
         enumerate_code(build_defining_set(spec(Variant.T2, 24, {1})))
 
@@ -653,15 +658,15 @@ def test_each_part_lists_its_members_once_per_code(monkeypatch):
     part's members, and mu one marking of each D1: neither is rebuilt per
     reader."""
     built = []
-    for name in ("counts", "members"):
+    for cls, name in itertools.product(COMPLEX_CLASSES, ("counts", "words")):
 
-        def logged(self, build=getattr(construction._Part, name).func, name=name):
+        def logged(self, build=getattr(cls, name).func, name=name):
             built.append((name, id(self)))
             return build(self)
 
         prop = functools.cached_property(logged)
-        prop.__set_name__(construction._Part, name)
-        monkeypatch.setattr(construction._Part, name, prop)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
     for s in (
         spec(Variant.T2, 9, {1, 2, 3, 4, 7, 8, 9}, {5, 6}),
         spec(Variant.T5, 7, {1, 2, 3}, {4, 5}),
@@ -670,7 +675,7 @@ def test_each_part_lists_its_members_once_per_code(monkeypatch):
         ds = build_defining_set(s)
         enumerate_code(ds)
         assert len(set(built)) == len(built), s
-        listed = {part for name, part in built if name == "members"}
+        listed = {part for name, part in built if name == "words"}
         assert listed == {id(part) for block in ds.blocks for part in block}, s
         assert {part for name, part in built if name == "counts"} >= {
             id(d1) for d1, _d2 in ds.blocks

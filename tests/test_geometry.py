@@ -177,7 +177,7 @@ def test_membership_and_down_closure():
     for _ in range(25):
         m = rng.randint(2, 8)
         cx = random_complex(rng, m)
-        members = set(cx._member_bits)
+        members = set(cx.words)
         for v in cx.members():
             assert v in cx
             sub = v.bits
@@ -187,6 +187,35 @@ def test_membership_and_down_closure():
                     break
                 sub = (sub - 1) & v.bits
         assert len(members) == len(cx)
+
+
+def test_len_lists_and_marks_nothing(monkeypatch):
+    """len() of a complex and of its complement is the closed form: it
+    equals the member count while listing and marking raise."""
+    def refuse(self):
+        raise AssertionError("len() listed or marked the members")
+
+    rng = random.Random(11)
+    cases = []
+    with monkeypatch.context() as patched:
+        for cls in (geometry.SimplicialComplex, geometry.ComplexComplement):
+            for name in ("counts", "words"):
+                patched.setattr(cls, name, property(refuse))
+        for _ in range(60):
+            m = rng.randint(1, 8)
+            cx = random_complex(rng, m)
+            faces = [f.bits for f in cx.maximal_faces]
+            inside = [x for x in range(1 << m) if any(x & ~f == 0 for f in faces)]
+            assert len(cx) == len(inside), cx
+            assert len(cx.complement()) == (1 << m) - len(inside), cx
+            cases.append((m, cx, inside))
+    for m, cx, inside in cases:
+        outside = sorted(set(range(1 << m)) - set(inside))
+        assert cx.words == tuple(inside)
+        assert cx.complement().words == tuple(outside)
+        assert cx.counts == bytes(x in inside for x in range(1 << m))
+        assert cx.complement().counts == bytes(x in outside for x in range(1 << m))
+        assert [v.bits for v in cx.complement()] == outside
 
 
 def test_complement_is_lazy_and_consistent():
