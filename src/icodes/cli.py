@@ -4,7 +4,9 @@ Subcommands: ``construct`` builds one code and prints its enumerator and
 Gray parameters, ``analyze`` adds the full certification report (optionally
 batched from a config file), ``verify`` sweeps parameter ranges comparing
 brute force against the closed forms, and ``tables`` dumps the ring's
-addition and multiplication tables.
+addition and multiplication tables.  ``construct`` also lists the ring
+and Gray codewords on request; both formats stream them through one
+renderer, :class:`_Dump`, one codeword at a time.
 
 Exit codes: 0 success / all match, 1 a finding contradicts its closed-form
 expectation, 2 usage error or (construct only) an empty defining set,
@@ -22,7 +24,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import __version__
 from .analysis import (
@@ -38,6 +40,7 @@ from .construction import (
     CodeTable,
     DefiningSetSpec,
     Variant,
+    _check,
     _lee_facts,
     build_defining_set,
     enumerate_code,
@@ -271,46 +274,74 @@ def _json(value, depth: int) -> str:
     return _ENCODER.encode(value).replace("\n", "\n" + "  " * depth)
 
 
-class _Bits(str):
-    """A codeword's text over 0, 1 and b, which JSON quotes unescaped."""
+@dataclass(frozen=True)
+class _Dump:
+    """The codewords of a table as the texts of a dump, in table order.
 
-    __slots__ = ()
-
-
-def _codeword_texts(table: CodeTable, gray: bool) -> Iterator[_Bits]:
-    """Each codeword of a dump as one text, in table order, from the words
-    c of the binary table.
-
-    Every ring codeword is b*c, its a-part zero, so its text is the bits of
-    c with 1 -> b; its Gray image (c, c) is the word c | c << n, whose
-    text is the bits of c written twice.
+    Every ring codeword is b*c for a word c of the binary table (its
+    a-part is zero), so its text is the bits of c, coordinate 1 first,
+    with 1 -> b; its Gray image (c, c) is the word c | c << n, whose text
+    is the bits of c written twice.  A text is over 0, 1 and b, so JSON
+    quotes it as it is.
     """
-    n = table.length
-    for c in table.codewords:
-        bits = bit_string(c, n)
-        yield _Bits(bits * 2 if gray else bits.replace("1", "b"))
+
+    table: CodeTable
+    gray: bool
+
+    def write(self, out, first: str, between: str, last: str) -> None:
+        """Write the texts to out one codeword at a time: first before the
+        first text, between before each later one, last after the last.
+
+        Each row is spread once to one byte per coordinate, coordinate 1
+        first, and multiplied by the mark, so its bytes are 0 or the mark
+        ('0' XOR '1' for Gray, '0' XOR 'b' for ring).  From the n bytes
+        '0' of the zero word, the prefix XORs of these rows step from text
+        to text as :class:`~icodes.construction._Codewords` steps from word
+        to word: one XOR and one ``to_bytes`` per codeword.  A Gray text
+        is written twice, as two writes, so no text is copied.  The
+        table's codewords are walked in lockstep, so their order and
+        weight checks run on every dumped word.
+        """
+        table, n = self.table, self.table.length
+        zeros = int.from_bytes(b"0" * n, "big")
+        mark = ord("0") ^ ord("1" if self.gray else "b")
+        prefix, word = [], 0
+        for row in table.rows:
+            spread = int.from_bytes(bit_string(row, n).encode(), "big") ^ zeros
+            _check(
+                int((spread ^ zeros).to_bytes(n, "big")[::-1], 2) == row,
+                "a spread row must read back as its row",
+            )
+            word ^= spread * mark
+            prefix.append(word)
+        word, sep = zeros, first
+        for x, _ in enumerate(table.codewords):
+            if x:
+                word ^= prefix[(x & -x).bit_length() - 1]
+            text = word.to_bytes(n, "big").decode("ascii")
+            out.write(sep)
+            out.write(text)
+            if self.gray:
+                out.write(text)
+            sep = between
+        # every dump holds the zero codeword, so last follows a text
+        out.write(last)
 
 
 def _emit(doc: dict, out) -> None:
     """Write ``doc`` to ``out`` as JSON, one top-level key at a time.
 
-    An iterator value (a codeword dump) is written one element at a time
-    and never held whole; a :class:`_Bits` element is quoted as it is,
-    since its text needs no escape.  The bytes are exactly
-    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` with each
-    iterator value replaced by the list of its elements.
+    A :class:`_Dump` value is written one codeword at a time and never
+    held whole.  The bytes are exactly ``json.dumps(doc, indent=2,
+    sort_keys=True) + "\\n"`` with each dump replaced by the list of its
+    texts.
     """
     sep = "{"
     for key in sorted(doc):
         value = doc[key]
         out.write(f"{sep}\n  {_json(key, 1)}: ")
-        if isinstance(value, Iterator):
-            item_sep = "["
-            for item in value:
-                text = '"' + item + '"' if isinstance(item, _Bits) else _json(item, 2)
-                out.write(f"{item_sep}\n    {text}")
-                item_sep = ","
-            out.write("[]" if item_sep == "[" else "\n  ]")
+        if isinstance(value, _Dump):
+            value.write(out, '[\n    "', '",\n    "', '"\n  ]')
         else:
             out.write(_json(value, 1))
         sep = ","
@@ -371,9 +402,9 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
             "degenerate": params.degenerate,
         }
         if args.dump_ring_codewords:
-            doc["ring_codewords"] = _codeword_texts(table, gray=False)
+            doc["ring_codewords"] = _Dump(table, gray=False)
         if args.dump_gray_codewords:
-            doc["gray_codewords"] = _codeword_texts(table, gray=True)
+            doc["gray_codewords"] = _Dump(table, gray=True)
         _emit(doc, out)
     else:
         subsets = f"M={{{','.join(map(str, sorted(spec.M)))}}} N={{{','.join(map(str, sorted(spec.N)))}}}"
@@ -386,12 +417,10 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
             print("degenerate: zero code (k = 0, distance undefined)", file=out)
         if args.dump_ring_codewords:
             print("ring codewords:", file=out)
-            for text in _codeword_texts(table, gray=False):
-                out.write(text + "\n")
+            _Dump(table, gray=False).write(out, "", "\n", "\n")
         if args.dump_gray_codewords:
             print("gray codewords:", file=out)
-            for text in _codeword_texts(table, gray=True):
-                out.write(text + "\n")
+            _Dump(table, gray=True).write(out, "", "\n", "\n")
     return EXIT_OK
 
 

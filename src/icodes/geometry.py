@@ -172,7 +172,18 @@ class SimplicialComplex:
             union |= int.from_bytes(marks, "little")
         return union.to_bytes(1 << self.m, "little")
 
-    words = cached_property(_marked_words)
+    @cached_property
+    def words(self) -> tuple[int, ...]:
+        """The members' bit words in increasing order.  A one-face complex
+        lists its 2^|S| members by doubling, once per face coordinate in
+        increasing order, so it marks nothing; several faces read the marks."""
+        if len(self.maximal_faces) > 1:
+            return _marked_words(self)
+        face, words = self.maximal_faces[0].bits, (0,)
+        for i in range(self.m):
+            if face >> i & 1:
+                words += tuple(map((1 << i).__or__, words))
+        return words
 
     def members(self) -> tuple[BitVector, ...]:
         """All members, in increasing integer order of the bit word."""

@@ -8,15 +8,22 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from typing import Iterator
 
 import pytest
 
 from icodes import cli, construction
 from icodes.analysis import ALL_ANALYSES, analyze, verify_against_prediction
 from icodes.cli import main, parse_m_range, parse_subset, parse_variants, UsageError
-from icodes.construction import DefiningSetSpec, Variant
+from icodes.construction import (
+    CodeTable,
+    DefiningSetSpec,
+    Variant,
+    build_defining_set,
+    enumerate_code,
+)
+from icodes.geometry import bit_string
 from icodes.ring import ELEMENTS
+from test_construction import defining_sets, generic_sets_with_zero_and_repeats
 
 
 def run(argv):
@@ -25,19 +32,29 @@ def run(argv):
     return code, out.getvalue()
 
 
+def reference_texts(dump) -> list[str]:
+    """A dump's texts from the reference bit_string(c, n) of each codeword
+    c: with 1 -> b for the ring dump, and written twice for Gray."""
+    n = dump.table.length
+    return [
+        bit_string(c, n) * 2 if dump.gray else bit_string(c, n).replace("1", "b")
+        for c in dump.table.codewords
+    ]
+
+
 @pytest.fixture
 def streamed_keys(monkeypatch):
     """Check every ``_emit`` call against ``json.dumps`` of the same document
-    with its iterators materialized; collect the streamed keys per call."""
+    with each codeword dump replaced by its reference texts; collect the
+    dumped keys per call."""
     calls = []
     emit = cli._emit
 
     def checked_emit(doc, out):
-        streamed = sorted(key for key, value in doc.items() if isinstance(value, Iterator))
-        lists = {key: list(doc[key]) for key in streamed}
-        materialized = {**doc, **lists}
+        streamed = sorted(key for key, value in doc.items() if isinstance(value, cli._Dump))
+        materialized = {**doc, **{key: reference_texts(doc[key]) for key in streamed}}
         buffer = io.StringIO()
-        emit({**doc, **{key: iter(items) for key, items in lists.items()}}, buffer)
+        emit(doc, buffer)
         assert buffer.getvalue() == json.dumps(materialized, indent=2, sort_keys=True) + "\n"
         out.write(buffer.getvalue())
         calls.append(streamed)
@@ -256,20 +273,21 @@ def test_dumps_correspond_word_by_word(code):
 
 
 def test_emit_streams_iterators_byte_identically():
-    marked = [cli._Bits(""), cli._Bits("0b"), cli._Bits("01")]
+    zero = CodeTable(3, (), 1, {0: 1})  # the zero code: its dumps hold one text
+    table = enumerate_code(build_defining_set(DefiningSetSpec(Variant.T1, 2, {1}, {2})))
     doc = {
-        "z": iter([{"k": [1, {"nested": "line\nbreak"}]}, "s", []]),
-        "a": iter([]),
-        "m": {"inner": ["x", {}], "empty": []},
-        "w": iter([marked[0], "0b", marked[1], {"k": "01"}, marked[2], 'q"\\']),
-        "v": iter(marked),
+        "z": cli._Dump(table, gray=True),
+        "a": cli._Dump(zero, gray=False),
+        "m": {"inner": ["x", {}], "empty": [], "q": 'q"\\', "k": [1, "line\nbreak"]},
+        "w": cli._Dump(table, gray=False),
+        "v": cli._Dump(zero, gray=True),
     }
     expected = {
-        "z": [{"k": [1, {"nested": "line\nbreak"}]}, "s", []],
-        "a": [],
+        "z": ["00000000", "00110011"],
+        "a": ["000"],
         "m": doc["m"],
-        "w": ["", "0b", "0b", {"k": "01"}, "01", 'q"\\'],
-        "v": ["", "0b", "01"],
+        "w": ["0000", "00bb"],
+        "v": ["000000"],
     }
     out = io.StringIO()
     cli._emit(doc, out)
@@ -277,6 +295,49 @@ def test_emit_streams_iterators_byte_identically():
     out = io.StringIO()
     cli._emit({}, out)
     assert out.getvalue() == "{}\n"
+
+
+def rendered_texts(dump) -> tuple[list[str], list[str]]:
+    """A dump's texts as JSON writes them, through ``_emit``, and as the
+    text format writes them, one line each."""
+    as_json, as_lines = io.StringIO(), io.StringIO()
+    cli._emit({"dump": dump}, as_json)
+    dump.write(as_lines, "", "\n", "\n")
+    return json.loads(as_json.getvalue())["dump"], as_lines.getvalue().splitlines()
+
+
+#: The wide dump workload: 128 codewords of 16352 coordinates.
+WIDE_T5 = DefiningSetSpec(Variant.T5, 7, {1, 2, 3}, {4, 5})
+
+
+def test_dump_texts_equal_the_reference_bit_strings(no_spot_check):
+    """Every text of both dumps, in both formats, is the reference text of
+    its codeword: on every T1..T5 code up to m = 4, the GENERIC sets with
+    zero and repeated members, and T5 m=7 (n = 16352)."""
+    tables = [enumerate_code(ds) for m in range(1, 5) for ds in defining_sets(m)]
+    tables += map(enumerate_code, generic_sets_with_zero_and_repeats(3))
+    tables.append(enumerate_code(build_defining_set(WIDE_T5)))
+    for table in tables:
+        for gray in (False, True):
+            dump = cli._Dump(table, gray)
+            expected = reference_texts(dump)
+            assert len(expected) == len(table.codewords)
+            assert rendered_texts(dump) == (expected, expected)
+
+
+def test_construct_dumps_equal_the_reference_bit_strings():
+    """Both formats of construct list the reference texts, ring then Gray."""
+    code = ["--variant", "T5", "--m", "7", "--M", "1,2,3", "--N", "4,5"]
+    table = enumerate_code(build_defining_set(WIDE_T5))
+    ring = reference_texts(cli._Dump(table, gray=False))
+    gray = reference_texts(cli._Dump(table, gray=True))
+    status, text = run(["construct", *code, "--format", "json", *DUMPS])
+    doc = json.loads(text)
+    assert status == 0 and (doc["ring_codewords"], doc["gray_codewords"]) == (ring, gray)
+    status, text = run(["construct", *code, *DUMPS])
+    lines = text.splitlines()
+    start = lines.index("ring codewords:")
+    assert status == 0 and lines[start:] == ["ring codewords:", *ring, "gray codewords:", *gray]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -318,19 +379,19 @@ class CountingSink:
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_dump_memory_stays_below_its_output(fmt):
-    argv = [
-        "construct", "--variant", "T2", "--m", "9", "--M", "1,2,3,4,7,8,9", "--N", "5,6",
-        "--format", fmt, *DUMPS,
-    ]
-    sink = CountingSink()
-    tracemalloc.start()
-    try:
-        assert main(argv, out=sink) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sink.chars > 2_000_000
-    assert peak < sink.chars / 2, (peak, sink.chars)
+    for code in (
+        ["--variant", "T2", "--m", "9", "--M", "1,2,3,4,7,8,9", "--N", "5,6"],
+        ["--variant", "T5", "--m", "7", "--M", "1,2,3", "--N", "4,5"],  # rows of 16352 bits
+    ):
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            assert main(["construct", *code, "--format", fmt, *DUMPS], out=sink) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 2_000_000
+        assert peak < sink.chars / 2, (code, peak, sink.chars)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -689,7 +750,8 @@ def test_readme_batch_config_runs(tmp_path):
 
 
 #: sha256 of stdout and of stderr, and the exit status, of the README
-#: commands, both dump workloads, a certify rung and a JSON sweep; recorded
+#: commands, both dump workloads (in JSON, and the wide T5 one in text too),
+#: a certify rung and a JSON sweep; recorded
 #: before the pairs of a GENERIC block became the plain product of its parts,
 #: which leaves every T1..T5 output as it was.
 NOTHING = hashlib.sha256(b"").hexdigest()
@@ -738,6 +800,9 @@ GOLDEN_OUTPUTS = {
     ),
     "construct --variant T5 --m 7 --M 1,2 --N 3 --format json --dump-ring-codewords --dump-gray-codewords": (
         "614e74cb33aea3b46902b20309c3b7d76cf3168358e0e6e2c3ce31c5a9176857", NOTHING, 0
+    ),
+    "construct --variant T5 --m 7 --M 1,2,3 --N 4,5 --dump-ring-codewords --dump-gray-codewords": (
+        "5a80ba8b625cc2d0ac7c8f43768dd25b17bef325eecdfd98298ce8239c24020c", NOTHING, 0
     ),
     "analyze --variant T2 --m 12 --M 1,2,3,5,7,9 --N 4 --format json": (
         "23f3024d38b32c1a65c80b58c7df00a849a1b397e133a0867fecb6775123bea6", NOTHING, 0

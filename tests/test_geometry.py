@@ -5,6 +5,7 @@ direct enumeration over members, written out here rather than shared with
 the library implementation.
 """
 
+import itertools
 import os
 import pathlib
 import random
@@ -216,6 +217,19 @@ def test_len_lists_and_marks_nothing(monkeypatch):
         assert cx.counts == bytes(x in inside for x in range(1 << m))
         assert cx.complement().counts == bytes(x in outside for x in range(1 << m))
         assert [v.bits for v in cx.complement()] == outside
+
+
+def test_words_equal_the_marked_listing():
+    """words is F_2^m filtered through the marks on random complexes; a
+    one-face complex lists its words by doubling and builds no marks."""
+    rng = random.Random(13)
+    complexes = [random_complex(rng, rng.randint(1, 8)) for _ in range(60)]
+    complexes += [complex_from_generator(m, {i for i in range(1, m + 1) if rng.random() < 0.5})
+                  for m in range(1, 9)]
+    for cx in complexes:
+        words = cx.words
+        assert ("counts" in vars(cx)) == (len(cx.maximal_faces) > 1)
+        assert words == tuple(itertools.compress(range(1 << cx.m), cx.counts))
 
 
 def test_complement_is_lazy_and_consistent():
