@@ -23,7 +23,8 @@ cutting-blocking-set criterion), is the independent slow path: in
 ``analyze`` it decides every code with a weight triple and supplies the
 witness of every non-minimal one, the only pair ever built as words, and
 cross-checks a triple-free code when c has rank at most
-RANK_SCAN_CROSS_CHECK_K.  The simplex check counts the columns.
+RANK_SCAN_CROSS_CHECK_K.  The simplex check counts the same columns: both
+read the table's one census of them, which ``analyze`` checks against mu.
 Self-orthogonality is structural, (c, c) . (c', c') = 2 (c . c') = 0:
 :func:`is_self_orthogonal` is the tests' reference.
 ``analyze`` judges each certificate against its closed-form expectation
@@ -300,7 +301,7 @@ def is_minimal_exhaustive(table: CodeTable) -> MinimalityFinding:
     """
     rows = table.rows
     k = len(rows)
-    points = sorted(_column_counts(rows, table.length))
+    points = sorted(table.points)
     random.Random(_POINT_ORDER_SEED).shuffle(points)
     for x in range(1, 1 << k):
         if not _spans_off_hyperplane(points, x, k):
@@ -311,24 +312,6 @@ def is_minimal_exhaustive(table: CodeTable) -> MinimalityFinding:
             )
             return MinimalityFinding(False, (_combine(rows, x), _combine(rows, z)))
     return MinimalityFinding(True, None)
-
-
-#: Coordinates per slice in :func:`_column_counts`.
-_COLUMN_SLICE = 16384
-
-
-def _column_counts(rows: tuple[int, ...], length: int) -> Counter[int]:
-    """How often each nonzero column of the matrix with these rows occurs;
-    a column is a word whose bit i is its entry in row i.  The columns are
-    read _COLUMN_SLICE coordinates at a time, so the text held is k
-    slices, not k rows of the whole length."""
-    counts: Counter[str] = Counter()
-    for start in range(0, length, _COLUMN_SLICE):
-        width = min(_COLUMN_SLICE, length - start)
-        mask = (1 << width) - 1
-        texts = [format(row >> start & mask, f"0{width}b") for row in rows]
-        counts.update(map("".join, zip(*texts)))
-    return Counter({int(column[::-1], 2): n for column, n in counts.items() if "1" in column})
 
 
 def _spans_off_hyperplane(points: list[int], x: int, k: int) -> bool:
@@ -472,13 +455,12 @@ def simplex_structure(table: CodeTable) -> SimplexFinding:
         raise ValueError("not a 1-weight code")
     common = nonzero_weights[0]
     k = len(table.rows)
-    columns = _column_counts(table.rows, table.length)
-    zero_columns = table.length - sum(columns.values())
+    zero_columns = table.length - sum(table.points.values())
     replication, remainder = divmod(table.length - zero_columns, (1 << k) - 1)
     ok = (
         remainder == 0
-        and len(columns) == (1 << k) - 1
-        and all(count == replication for count in columns.values())
+        and len(table.points) == (1 << k) - 1
+        and all(count == replication for count in table.points.values())
         and common == replication << (k - 1)
     )
     if not ok:
@@ -640,19 +622,22 @@ def analyze(
         fields["self_orthogonal"] = "yes-direct"
         fields["weights_div4"] = all(w % 4 == 0 for w in fields["lee_weight_distribution"])
 
+    # c's basis is B G, B one-to-one on the t1 words' span: point B x occurs mu(x) times
+    triple = "minimal" in requested and has_weight_triple(table.weight_distribution)
+    scan = "minimal" in requested and (triple or len(table.rows) <= RANK_SCAN_CROSS_CHECK_K)
+    if not zero_code and (scan or "simplex" in requested and table.num_weights == 1):
+        counts = Counter(table.points.values())
+        _check(counts == Counter(filter(None, ds.mu[1:])), "c's points disagree with mu")
+
     if not zero_code and "minimal" in requested:
         ab = ab_condition(table)
         fields["ab_ratio"] = str(ab.ratio)
         fields["ab_holds"] = ab.holds
-        triple = has_weight_triple(table.weight_distribution)
-        if not triple and len(table.rows) > RANK_SCAN_CROSS_CHECK_K:
-            finding = MinimalityFinding(True, None)
-        else:
-            finding = is_minimal_exhaustive(table)
-            _check(
-                triple or finding.minimal,
-                "the weight function and the rank scan disagree on minimality",
-            )
+        finding = is_minimal_exhaustive(table) if scan else MinimalityFinding(True, None)
+        _check(
+            triple or finding.minimal,
+            "the weight function and the rank scan disagree on minimality",
+        )
         fields["minimal"] = "yes-exhaustive" if finding.minimal else "no"
         if finding.witness is not None:
             # the image of c's word u is u | u << n, whose text is u's twice

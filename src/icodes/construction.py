@@ -32,8 +32,9 @@ Walsh-Hadamard transform of mu (m whole-int passes over packed lanes,
 :func:`geometry.walsh_hadamard`), which :func:`enumerate_code` and the
 minimality certificate share.  A :class:`CodeTable` is a binary linear
 code: its generator rows, reduced once to the canonical reduced echelon
-basis, with its weight distribution and kernel size; its codewords
-stream from the basis as ints in increasing order.
+basis, with its weight distribution, kernel size and points (counted once,
+when first read); its codewords stream from the basis as ints in increasing
+order.
 :func:`enumerate_code` returns the table of c, which every Lee fact is
 read off (:func:`_lee_facts`); :func:`gray_image` builds (c, c) for the
 library and the tests only.
@@ -72,18 +73,11 @@ from .geometry import (
     gf2_basis,
     walsh_hadamard,
 )
-from .ring import ELEMENTS, SYMBOLS, RingElement
+from .ring import ELEMENTS, RingElement
 
 #: Default cap on elementary parity operations for one code enumeration.
 DEFAULT_WORK_BUDGET = 1 << 32
 
-#: The symbols in the canonical 0, a, b, c order, as one text.
-_SYMBOL_TEXT = "".join(SYMBOLS)
-#: Hex digit s_i + 2*t_i (a vector's two 0/1 texts read as hex) to its symbol.
-_SYMBOL_OF_DIGIT = str.maketrans("0123", _SYMBOL_TEXT)
-#: A symbol to its s bit, and to its t bit, as 0/1 text.
-_S_BIT_OF_SYMBOL = str.maketrans(_SYMBOL_TEXT, "0101")
-_T_BIT_OF_SYMBOL = str.maketrans(_SYMBOL_TEXT, "0011")
 #: Most coordinates per code that the agreement check sums through the ring.
 ORACLE_COORDINATES = 256
 
@@ -116,22 +110,19 @@ class RingVector:
         if self.m < 1:
             raise ValueError(f"length must be positive, got {self.m}")
         for word in (self.s_word, self.t_word):
-            if not 0 <= word < 1 << self.m:
+            if word < 0 or word.bit_length() > self.m:
                 raise ValueError(f"word {word:#x} does not fit in {self.m} bits")
 
     @classmethod
     def from_string(cls, text: str) -> RingVector:
         """The inverse of ``str``: one symbol of ``0abc`` per coordinate,
         coordinate 1 first."""
-        unknown = text.lstrip(_SYMBOL_TEXT)
-        if unknown:
-            raise ValueError(f"unknown ring element {unknown[0]!r}")
         # the last coordinate (the highest bit) first, as int() reads it
-        digits = text[::-1] or "0"
+        elements = [RingElement.from_symbol(symbol) for symbol in text][::-1]
         return cls(
             len(text),
-            int(digits.translate(_S_BIT_OF_SYMBOL), 2),
-            int(digits.translate(_T_BIT_OF_SYMBOL), 2),
+            int("".join(str(x.s) for x in elements) or "0", 2),
+            int("".join(str(x.t) for x in elements) or "0", 2),
         )
 
     def element(self, i: int) -> RingElement:
@@ -149,8 +140,8 @@ class RingVector:
         return RingVector(self.m, self.s_word ^ other.s_word, self.t_word ^ other.t_word)
 
     def __str__(self) -> str:
-        s, t = (int(bit_string(word, self.m), 16) for word in (self.s_word, self.t_word))
-        return format(s + 2 * t, f"0{self.m}x").translate(_SYMBOL_OF_DIGIT)
+        s, t = (bit_string(word, self.m) for word in (self.s_word, self.t_word))
+        return "".join(ELEMENTS[int(x) | int(y) << 1].symbol for x, y in zip(s, t))
 
 
 @dataclass(frozen=True)
@@ -475,6 +466,11 @@ class CodeTable:
         each pass (see :class:`_Codewords`); len() is the code size."""
         return _Codewords(self)
 
+    @cached_property
+    def points(self) -> Counter[int]:
+        """c's census: :func:`_column_counts` of the rows, taken when first read."""
+        return _column_counts(self.rows, self.length)
+
 
 class _Codewords:
     """The codewords of a table as ints in increasing order, never held whole.
@@ -515,6 +511,24 @@ def _check(holds: bool, message: str) -> None:
     """An invariant that must survive ``python -O``, unlike ``assert``."""
     if not holds:
         raise AssertionError(message)
+
+
+#: Coordinates per slice in :func:`_column_counts`.
+_COLUMN_SLICE = 16384
+
+
+def _column_counts(rows: tuple[int, ...], length: int) -> Counter[int]:
+    """How often each nonzero column of the matrix with these rows occurs;
+    a column is a word whose bit i is its entry in row i.  The columns are
+    read _COLUMN_SLICE coordinates at a time, so the text held is k
+    slices, not k rows of the whole length."""
+    counts: Counter[str] = Counter()
+    for start in range(0, length, _COLUMN_SLICE):
+        width = min(_COLUMN_SLICE, length - start)
+        mask = (1 << width) - 1
+        texts = [format(row >> start & mask, f"0{width}b") for row in rows]
+        counts.update(map("".join, zip(*texts)))
+    return Counter({int(column[::-1], 2): n for column, n in counts.items() if "1" in column})
 
 
 def _reduced_echelon(words: Iterable[int]) -> tuple[int, ...]:

@@ -3,7 +3,11 @@
 import dataclasses
 import io
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -653,10 +657,10 @@ def test_analyze_transforms_mu_once_and_skips_the_rank_scan_above_rank_8(monkeyp
 @pytest.mark.parametrize(
     "length",
     [
-        analysis._COLUMN_SLICE - 1,
-        analysis._COLUMN_SLICE,
-        analysis._COLUMN_SLICE + 1,
-        2 * analysis._COLUMN_SLICE + 3,
+        construction._COLUMN_SLICE - 1,
+        construction._COLUMN_SLICE,
+        construction._COLUMN_SLICE + 1,
+        2 * construction._COLUMN_SLICE + 3,
     ],
 )
 def test_column_counts_agree_across_slice_boundaries(length):
@@ -668,8 +672,64 @@ def test_column_counts_agree_across_slice_boundaries(length):
         if column:
             expected[column] += 1
     assert sum(expected.values()) < length  # some zero columns are dropped
-    assert analysis._column_counts(rows, length) == expected
-    assert analysis._column_counts((), length) == Counter()
+    assert construction._column_counts(rows, length) == expected
+    assert construction._column_counts((), length) == Counter()
+
+
+def test_analyze_counts_c_points_once_per_code(monkeypatch):
+    # T1 m=6 is one-weight with k = 2 <= 8, so the rank scan and the simplex
+    # check both read c's points: one census of its 16 columns, kept by its table
+    built = []
+    census = construction._column_counts
+
+    def counted(rows, length):
+        built.append(length)
+        return census(rows, length)
+
+    monkeypatch.setattr(construction, "_column_counts", counted)
+    report = analyze(spec(Variant.T1, 6, {2, 3}, {4, 5}))
+    assert report.minimal == "yes-exhaustive" and report.simplex.kind == "replicated-simplex"
+    assert built == [16]
+
+
+def moved_count(table):
+    """c's census with one count moved from its smallest point to the next:
+    the counts of T1 m=6 (4, 4, 4) become (3, 5, 4)."""
+    points = construction._column_counts(table.rows, table.length)
+    first, second = sorted(points)[:2]
+    points[first] -= 1
+    points[second] += 1
+    return points
+
+
+def test_points_must_agree_with_mu(monkeypatch):
+    monkeypatch.setattr(CodeTable, "points", property(moved_count))
+    with pytest.raises(AssertionError, match="c's points disagree with mu"):
+        analyze(spec(Variant.T1, 6, {2, 3}, {4, 5}))
+    # no certificate reads the points, so nothing checks them
+    assert analyze(spec(Variant.T1, 6, {2, 3}, {4, 5}), analyses=("verify",)).prediction_match
+
+
+def test_points_check_survives_optimized_mode():
+    script = (
+        "from icodes import analysis, construction\n"
+        "from icodes.construction import CodeTable, DefiningSetSpec, Variant\n"
+        "def moved_count(table):\n"
+        "    points = construction._column_counts(table.rows, table.length)\n"
+        "    first, second = sorted(points)[:2]\n"
+        "    points[first] -= 1\n"
+        "    points[second] += 1\n"
+        "    return points\n"
+        "CodeTable.points = property(moved_count)\n"
+        "analysis.analyze(DefiningSetSpec(Variant.T1, 6, {2, 3}, {4, 5}))\n"
+    )
+    src = pathlib.Path(construction.__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 1
+    assert "AssertionError: c's points disagree with mu" in result.stderr
 
 
 def test_analyze_builds_no_codeword_list(monkeypatch):

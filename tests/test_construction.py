@@ -536,6 +536,24 @@ def test_ring_vector_round_trip_and_weight():
             RingVector.from_string(text)
 
 
+def test_ring_vector_bound_check_builds_no_m_bit_word():
+    # each word's bound is read off its bit length; testing word < 1 << m
+    # built a 10^7-bit int, a 1.33 MB tracemalloc peak
+    m = 10**7
+    word = 1 << (m - 1)
+    tracemalloc.start()
+    try:
+        v = RingVector(m, 0, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.t_word == word
+    assert peak < 1024, peak
+    for bad in (8, -1):
+        with pytest.raises(ValueError, match=f"word {bad:#x} does not fit in 3 bits"):
+            RingVector(3, bad)
+
+
 def test_ring_vector_gray_blocks():
     # "ab": t-part is 01 (bit 1), s+t part is 11 (bits 2 and 3)
     v = RingVector.from_string("ab")
